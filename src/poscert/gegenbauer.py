@@ -30,10 +30,6 @@ class GegenbauerFamily:
     dim: int
     polys: tuple[Poly, ...]
 
-    @staticmethod
-    def build(dim: int, kmax: int) -> "GegenbauerFamily":
-        return GegenbauerFamily(dim, tuple(gegenbauer(dim, k) for k in range(kmax + 1)))
-
 
 @dataclass(frozen=True)
 class GegenbauerCoeffs:

@@ -20,6 +20,7 @@ Q(sqrt 5) rather than hard-coded); its correctness is established by the
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,61 +29,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polycore import rat, rat_str
-
-try:  # optional JIT for the enumeration kernel; pure Python works too
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+from .polycore import det_exact, rat, rat_str
 
 STANDARD_NAMES = ("A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8", "Leech")
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
-
-def _det_bareiss_int(mat: Sequence[Sequence[int]]) -> int:
-    """Fraction-free integer determinant."""
-    n = len(mat)
-    m = [[int(x) for x in row] for row in mat]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_fraction(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(mat)
-    rows = [[rat(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
-
 
 def _ldl_exact(gram: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Exact quadratic completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
@@ -147,7 +100,7 @@ class Lattice:
 
     @property
     def covolume_sq(self) -> Fraction:
-        return _det_fraction(self.gram)
+        return det_exact(self.gram)
 
     def embed(self, coords: Sequence[Sequence[int]]) -> np.ndarray:
         """Map basis-coordinate vectors to floating ambient coordinates."""
@@ -418,7 +371,7 @@ def leech_lattice() -> Lattice:
     if any(gram_scaled[i][j] % 8 for i in range(24) for j in range(24)):
         raise AssertionError("Leech Gram is not integral at scale 8")
     gram = [[Fraction(gram_scaled[i][j] // 8) for j in range(24)] for i in range(24)]
-    if _det_bareiss_int([[int(x) for x in row] for row in gram]) != 1:
+    if det_exact(gram) != 1:
         raise AssertionError("Leech construction is not unimodular")
     if any(gram[i][i] % 2 for i in range(24)):
         raise AssertionError("Leech construction is not even")
@@ -434,70 +387,45 @@ def leech_lattice() -> Lattice:
 # ---------------------------------------------------------------------------
 # short-vector enumeration
 
-def _enumeration_kernel(dd, uu, bound_f, out):
-    """Depth-first search over the canonical half-space.
+def _half_space_candidates(
+    d: list[float], u: list[list[float]], bound: float
+) -> list[tuple[int, ...]]:
+    """Depth-first search over the canonical half-space of {x : Q(x) <= bound}.
 
-    Levels run from the last coordinate down; while every fixed
-    coordinate above is zero the range is clamped to x_i >= 0, so each
-    +-pair is seen exactly once (the all-zero vector is skipped).
-    Written with plain loops so numba can compile it unchanged.
+    Q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j-i-1] x_j)^2, levels running
+    from the last coordinate down. While every fixed coordinate above is
+    zero the range is clamped to x_i >= 0, so each +-pair is seen exactly
+    once and the zero vector never. Pruning is in floats with 1e-6 slack
+    on the budget and 1e-9 margins on each rounded coordinate range; the
+    caller re-verifies every candidate exactly.
     """
-    n = dd.shape[0]
-    cap = out.shape[0]
+    n = len(d)
     slack = 1e-6
-    x = np.zeros(n, dtype=np.int64)
-    hi = np.zeros(n, dtype=np.int64)
-    budget = np.zeros(n + 1)
-    center = np.zeros(n)
-    zero_above = np.zeros(n + 1, dtype=np.uint8)
-    zero_above[n] = 1
-    count = 0
-    budget[n] = bound_f + slack
-    i = n - 1
-    center[i] = 0.0
-    rad = math.sqrt(max(budget[i + 1], 0.0) / dd[i])
-    l = int(math.ceil(-rad - 1e-9))
-    if zero_above[i + 1] == 1 and l < 0:
-        l = 0
-    hi[i] = int(math.floor(rad + 1e-9))
-    x[i] = l - 1
-    while i < n:
-        x[i] += 1
-        if x[i] > hi[i]:
-            i += 1
-            continue
-        t = budget[i + 1] - dd[i] * (x[i] + center[i]) ** 2
-        if t < -slack:
-            continue
+    found: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def level(i: int, budget: float, zero_above: bool) -> None:
+        di = d[i]
+        c = sum(map(operator.mul, u[i], x[i + 1:]))
+        rad = math.sqrt(max(budget, 0.0) / di)
+        lo = math.ceil(-rad - c - 1e-9)
+        if zero_above and lo < 0:
+            lo = 0
+        hi = math.floor(rad - c + 1e-9)
         if i == 0:
-            if zero_above[1] == 1 and x[0] == 0:
-                continue
-            if count >= cap:
-                return -1
-            for a in range(n):
-                out[count, a] = x[a]
-            count += 1
-            continue
-        budget[i] = t
-        zero_above[i] = 1 if (zero_above[i + 1] == 1 and x[i] == 0) else 0
-        i -= 1
-        ci = 0.0
-        for j in range(i + 1, n):
-            ci += uu[i, j] * x[j]
-        center[i] = ci
-        rad = math.sqrt(max(budget[i + 1], 0.0) / dd[i])
-        l = int(math.ceil(-rad - ci - 1e-9))
-        if zero_above[i + 1] == 1 and l < 0:
-            l = 0
-        hi[i] = int(math.floor(rad - ci + 1e-9))
-        x[i] = l - 1
-    return count
+            rest = x[1:]
+            for xi in range(lo, hi + 1):
+                if budget - di * (xi + c) ** 2 >= -slack and (xi or not zero_above):
+                    found.append((xi, *rest))
+            return
+        for xi in range(lo, hi + 1):
+            t = budget - di * (xi + c) ** 2
+            if t >= -slack:
+                x[i] = xi
+                level(i - 1, t, zero_above and xi == 0)
 
-
-if _HAVE_NUMBA:
-    _kernel = _njit(cache=False)(_enumeration_kernel)
-else:  # pragma: no cover
-    _kernel = _enumeration_kernel
+    level(n - 1, bound + slack, True)
+    return found
 
 
 def _short_vectors_with_norms(
@@ -512,30 +440,21 @@ def _short_vectors_with_norms(
     for row in lat.gram:
         for x in row:
             scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    gz_py = [[int(x * scale) for x in row] for row in lat.gram]
+    gz = np.array([[int(x * scale) for x in row] for row in lat.gram], dtype=np.int64)
     bound_scaled = bound * scale
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 
     d_exact, u_exact = _ldl_exact([[x * scale for x in row] for row in lat.gram])
-    dd = np.array([float(x) for x in d_exact])
-    uu = np.array([[float(x) for x in row] for row in u_exact])
-    gz = np.array(gz_py, dtype=np.int64)
+    dd = [float(x) for x in d_exact]
+    uu = [[float(x) for x in row[i + 1:]] for i, row in enumerate(u_exact)]
 
     # int64 safety: |x_i| <= sqrt(bound/d_min) + 1 per coordinate.
-    max_coord = int(math.sqrt(float(bound_scaled) / float(min(dd)))) + 2
+    max_coord = int(math.sqrt(float(bound_scaled) / min(dd))) + 2
     if n * n * max_coord * max_coord * int(np.abs(gz).max()) >= 2**62:
         raise OverflowError("enumeration bound too large for int64 verification")
 
-    cap = 1 << 14 if n < 16 else 1 << 17
-    while True:
-        out = np.zeros((cap, n), dtype=np.int64)
-        m = _kernel(dd, uu, float(bound_scaled), out)
-        if m >= 0:
-            break
-        cap *= 8
-        if cap > 1 << 27:  # pragma: no cover
-            raise MemoryError("short vector capacity exceeded")
-    cands = out[:m]
+    cands = np.array(_half_space_candidates(dd, uu, float(bound_scaled)), dtype=np.int64)
+    cands = cands.reshape(-1, n)
     if cands.size:
         # exact int64-safety certificate for the norm verification below
         coord_max = int(np.abs(cands).max())
@@ -656,6 +575,11 @@ def table_report(dims: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 24)) -> dict:
     one is known. Mordell's inequality gamma_n <= gamma_{n-1}^{(n-1)/(n-2)}
     is checked across consecutive computed rows.
     """
+    unsupported = [n for n in dims if n not in _TABLE_LATTICE]
+    if unsupported:
+        raise ValueError(
+            f"unsupported table dimension(s) {unsupported}; supported dimensions are 1-8 and 24"
+        )
     rows = []
     gammas: dict[int, float] = {}
     for n in dims:

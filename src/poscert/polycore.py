@@ -37,6 +37,28 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
+def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Exact determinant by Gaussian elimination over the rationals."""
+    rows = [[rat(x) for x in row] for row in mat]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    rows[r][c] -= f * rows[col][c]
+    return det
+
+
 class Poly:
     """Dense univariate polynomial with Fraction coefficients.
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .polycore import RationalLike, rat
+from .polycore import RationalLike, det_exact, rat
 
 
 def validate_strict_tuple(tpl: Sequence[int]) -> tuple[int, ...]:
@@ -53,28 +53,6 @@ class StrictTuple:
         return tuple(e - (n - 1 - j) for j, e in enumerate(self.entries))
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    # Exact Gaussian elimination with partial pivot-by-first-nonzero.
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
-
-
 def vandermonde(xs: Sequence[RationalLike]) -> Fraction:
     """V(x) = prod_{i<j} (x_i - x_j)."""
     vals = [rat(x) for x in xs]
@@ -100,7 +78,7 @@ def schur_eval(tpl: Sequence[int], xs: Sequence[RationalLike]) -> Fraction:
         raise ValueError("tuple length must match the number of variables")
     if len(set(vals)) != len(vals):
         raise ValueError("variables must be pairwise distinct")
-    num = _det_fraction([[x**e for e in t] for x in vals])
+    num = det_exact([[x**e for e in t] for x in vals])
     return num / vandermonde(vals)
 
 

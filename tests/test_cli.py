@@ -113,6 +113,14 @@ def test_tables_subset():
     assert len(res.payload["rows"]) == 4
 
 
+def test_tables_unsupported_dimension():
+    res = run(["tables", "--dims", "9"])
+    assert res.exit_code == 2
+    assert res.payload["reason"] == (
+        "unsupported table dimension(s) [9]; supported dimensions are 1-8 and 24"
+    )
+
+
 def test_missing_file_is_usage_error():
     res = run(["check", "psd", "/nonexistent/nope.json"])
     assert res.exit_code == 2 and "reason" in res.payload

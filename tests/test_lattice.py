@@ -235,3 +235,31 @@ def test_table_report_low_dims():
     m3 = next(m for m in report["mordell"] if m["n"] == 3)
     assert m3["gamma_n"] == pytest.approx(2 ** (1 / 3))
     assert m3["bound"] == pytest.approx(4 / 3)
+
+
+def theta_zk(k, nmax):
+    """Coefficients r_k(0..nmax) of theta_Z^k, by convolving r_1 k times."""
+    r1 = [1 if m == 0 else 2 if math.isqrt(m) ** 2 == m else 0 for m in range(nmax + 1)]
+    r = [1] + [0] * nmax
+    for _ in range(k):
+        r = [sum(r[a] * r1[m - a] for a in range(m + 1)) for m in range(nmax + 1)]
+    return r
+
+
+@pytest.mark.parametrize("make", [lambda: standard_lattice("E8"), e8_coordinate_lattice])
+def test_e8_theta_series_shells(make):
+    # theta_E8 = E_4: 240 sigma_3(m) vectors of norm 2m
+    lat = make()
+    cumulative = 0
+    for m in range(1, 6):
+        cumulative += 240 * sum(d**3 for d in range(1, m + 1) if m % d == 0)
+        assert len(short_vectors(lat, 2 * m)) == cumulative, (lat.name, 2 * m)
+    assert cumulative == 56880
+
+
+def test_z12_theta_series_shells():
+    lat = standard_lattice("Z12")
+    r = theta_zk(12, 5)
+    for bound, want in ((4, 9992), (5, 35864)):
+        assert sum(r[1 : bound + 1]) == want
+        assert len(short_vectors(lat, bound)) == want

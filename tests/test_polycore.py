@@ -7,6 +7,7 @@ from poscert.polycore import (
     Interval,
     Poly,
     certify_nonpositive,
+    det_exact,
     nonpositivity_witness,
     parse_rat,
     poly_divmod,
@@ -96,6 +97,20 @@ def test_poly_pow_and_divmod():
     assert r.is_zero and q == Poly([1, 2, 1])
     g = poly_gcd(p, (t + Poly.constant(1)) * (t - Poly.constant(2)))
     assert g == Poly([1, 1])
+
+
+def test_det_exact():
+    assert det_exact([]) == 1
+    assert det_exact([[0, 1], [1, 0]]) == -1  # pivot swap
+    assert det_exact([["1/2", 1], [1, 2]]) == 0
+    assert det_exact([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4  # A3 Cartan
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        a = [[rand_rat(rng, 9) for _ in range(n)] for _ in range(n)]
+        b = [[rand_rat(rng, 9) for _ in range(n)] for _ in range(n)]
+        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert det_exact(ab) == det_exact(a) * det_exact(b)
 
 
 def test_squarefree_part():
