@@ -44,20 +44,29 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be >= 2, got {n}")
 
 
-@lru_cache(maxsize=None)
-def _family_cached(n: int, kmax: int) -> tuple[Poly, ...]:
+# One table per dimension n: G_0..G_k for the highest k requested so far.
+# A request past its end replaces the stored tuple by a longer one; no
+# tuple is mutated in place, so a reader never sees a partial table.
+_TABLES: dict[int, tuple[Poly, ...]] = {}
+
+
+def _table(n: int, kmax: int) -> tuple[Poly, ...]:
+    """G_0..G_m^{(n)} for some m >= kmax, extending the table if needed."""
+    polys = _TABLES.get(n, ())
+    if len(polys) > kmax:
+        return polys
     # G_0 = 1, G_1 = t, then the three-term recurrence
     #   G_k = ((2k+n-4) t G_{k-1} - (k-1) G_{k-2}) / (k+n-3),   k >= 2.
     # The k+n-3 denominator only degenerates at (n, k) = (2, 1), which the
     # explicit base case makes moot; the recurrence starts at k = 2.
-    polys = [Poly.constant(1)]
-    if kmax >= 1:
-        polys.append(Poly.identity())
     t = Poly.identity()
-    for k in range(2, kmax + 1):
-        num = (t * polys[k - 1]).scale(2 * k + n - 4) - polys[k - 2].scale(k - 1)
-        polys.append(num.scale(Fraction(1, k + n - 3)))
-    return tuple(polys)
+    out = list(polys) or [Poly.constant(1), t]
+    for k in range(len(out), kmax + 1):
+        num = (t * out[k - 1]).scale(2 * k + n - 4) - out[k - 2].scale(k - 1)
+        out.append(num.scale(Fraction(1, k + n - 3)))
+    polys = tuple(out)
+    _TABLES[n] = polys
+    return polys
 
 
 def gegenbauer(n: int, k: int) -> Poly:
@@ -65,12 +74,14 @@ def gegenbauer(n: int, k: int) -> Poly:
     _check_dim(n)
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _family_cached(n, k)[k]
+    return _table(n, k)[k]
 
 
 def gegenbauer_family(n: int, kmax: int) -> GegenbauerFamily:
     _check_dim(n)
-    return GegenbauerFamily(n, _family_cached(n, kmax))
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return GegenbauerFamily(n, _table(n, kmax)[: kmax + 1])
 
 
 def _binom_rational(alpha: Fraction, m: int) -> Fraction:
@@ -135,7 +146,7 @@ def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
     if p.is_zero:
         return GegenbauerCoeffs(n, ())
     d = p.degree
-    fam = _family_cached(n, d)
+    fam = _table(n, d)
     out = [Fraction(0)] * (d + 1)
     rem = list(p.coeffs) + [Fraction(0)] * (d + 1 - len(p.coeffs))
     for k in range(d, -1, -1):
@@ -177,7 +188,7 @@ def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
     cs = [rat(c) for c in coeffs]
     if not cs:
         return Poly()
-    fam = _family_cached(n, len(cs) - 1)
+    fam = _table(n, len(cs) - 1)
     out = Poly()
     for k, c in enumerate(cs):
         if c:

@@ -3,8 +3,11 @@
 Everything in this module is computed over ``fractions.Fraction``; no
 floating point enters any code path. The central export is
 :func:`certify_nonpositive`, which decides exactly whether a polynomial
-is <= 0 on a closed rational interval. All values are immutable and all
-functions are pure, so they are safe to share across threads.
+is <= 0 on a closed rational interval. Each check builds one signed
+remainder sequence (:func:`sturm_chain`), which yields the squarefree
+part and its Sturm chain together, and :func:`poly_divmod` is the one
+polynomial division. All values are immutable and all functions are
+pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -173,16 +176,8 @@ def poly_eval(p: Poly, x: RationalLike) -> Fraction:
     return p(x)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     return p * q
-
-
-def poly_scale(p: Poly, c: RationalLike) -> Poly:
-    return p.scale(c)
 
 
 def poly_pow(p: Poly, k: int) -> Poly:
@@ -220,23 +215,6 @@ def _primitive(p: Poly) -> Poly:
     return p.scale(1 / _content(p))
 
 
-def _rem(a: Poly, b: Poly) -> Poly:
-    """Exact polynomial remainder of a by b over the rationals."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    db = b.degree
-    lead = b.leading()
-    while len(r) - 1 >= db and r:
-        q = r[-1] / lead
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= q * c
-        while r and r[-1] == 0:
-            r.pop()
-    return Poly(r)
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a by b over the rationals."""
     if b.is_zero:
@@ -256,46 +234,33 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient."""
-    a, b = _primitive(a), _primitive(b)
-    while not b.is_zero:
-        a, b = b, _primitive(_rem(a, b))
-    if a.is_zero:
-        return a
-    if a.leading() < 0:
-        a = -a
-    return a
+def sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm chain of the squarefree part of p, from one remainder sequence.
+
+    The signed remainder sequence p, p', -rem(p, p'), ... ends in
+    g = gcd(p, p'). When g is not constant, every member is divided by g
+    (taken with a positive leading coefficient), which leaves a Sturm
+    chain of p / g: it counts the distinct real roots of p, and it is safe
+    to evaluate at a multiple root of p. Each member is content-stripped
+    by a positive rational, which keeps every sign pattern intact while
+    bounding coefficient blowup.
+    """
+    chain = [_primitive(p)]
+    nxt = _primitive(p.derivative())
+    while not nxt.is_zero:
+        chain.append(nxt)
+        nxt = _primitive(-poly_divmod(chain[-2], chain[-1])[1])
+    g = chain[-1]
+    if g.degree:  # neither p = 0 (None) nor a constant gcd (0)
+        if g.leading() < 0:
+            g = -g
+        chain = [_primitive(poly_divmod(q, g)[0]) for q in chain]
+    return chain
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'); shares exactly the root set of p."""
-    if p.is_zero or p.degree == 0:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    q, r = poly_divmod(p, g)
-    assert r.is_zero
-    return q
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Canonical Sturm chain of p, content-stripped after each remainder.
-
-    Content stripping is by a positive rational, which keeps every sign
-    pattern intact while bounding coefficient blowup.
-    """
-    chain = [_primitive(p)]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(_primitive(d))
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            nxt = _primitive(-_rem(chain[-2], chain[-1]))
-            if nxt.is_zero:
-                break
-            chain.append(nxt)
-    return chain
+    """Primitive positive multiple of p / gcd(p, p'); same roots as p, all simple."""
+    return sturm_chain(p)[0]
 
 
 def sign_changes(chain: Sequence[Poly], x: RationalLike) -> int:
@@ -312,10 +277,10 @@ def sign_changes(chain: Sequence[Poly], x: RationalLike) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_open(s: Poly, chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of squarefree s in the open interval (a, b)."""
+def count_roots_open(chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
+    """Distinct roots of the chain's squarefree head in the open interval (a, b)."""
     n = sign_changes(chain, a) - sign_changes(chain, b)
-    if s(b) == 0:
+    if chain[0](b) == 0:
         n -= 1
     return n
 
@@ -341,15 +306,14 @@ def nonpositivity_witness(
     phi = p(hi)
     if phi > 0:
         return False, (hi, hi)
-    s = squarefree_part(p)
-    chain = sturm_chain(s)
-    return _nonpos_rec(p, s, chain, lo, hi, plo, phi, 0)
+    chain = sturm_chain(p)
+    return _nonpos_rec(p, chain, lo, hi, plo, phi, 0)
 
 
-def _nonpos_rec(p, s, chain, a, b, pa, pb, depth):
+def _nonpos_rec(p, chain, a, b, pa, pb, depth):
     if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
         raise RuntimeError("sign certification did not converge")
-    k = count_roots_open(s, chain, a, b)
+    k = count_roots_open(chain, a, b)
     if k == 0:
         # No interior root: p has constant nonzero sign on (a, b).
         m = (a + b) / 2
@@ -361,10 +325,10 @@ def _nonpos_rec(p, s, chain, a, b, pa, pb, depth):
     pm = p(m)
     if pm > 0:
         return False, (a, b)
-    ok, w = _nonpos_rec(p, s, chain, a, m, pa, pm, depth + 1)
+    ok, w = _nonpos_rec(p, chain, a, m, pa, pm, depth + 1)
     if not ok:
         return ok, w
-    return _nonpos_rec(p, s, chain, m, b, pm, pb, depth + 1)
+    return _nonpos_rec(p, chain, m, b, pm, pb, depth + 1)
 
 
 def certify_nonpositive(p: Poly, iv: Interval) -> bool:

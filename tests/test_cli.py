@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from poscert.cli import run
 
@@ -104,6 +105,23 @@ def test_lattice_info_json():
 def test_schur_verify():
     res = run(["schur", "verify", "--N", "3", "--degree", "6", "--seed", "0", "--trials", "4"])
     assert res.exit_code == 0 and res.payload["agree"]
+
+
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "-1"], ">= 1",
+                 id="preserver-trials-negative"),
+    pytest.param(["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "0"], ">= 1",
+                 id="preserver-trials-zero"),
+    pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
+                 id="schur-trials-zero"),
+    pytest.param(["schur", "verify", "--N", "8", "--degree", "12"], "between 1 and 7", id="schur-N-8"),
+    pytest.param(["lattice", "info", "--name", "Z128"], "between 1 and 64", id="lattice-Z128"),
+    pytest.param(["lattice", "info", "--name", "Z256", "--json"], "between 1 and 64", id="lattice-Z256"),
+])
+def test_sizes_rejected_up_front(argv, limit):
+    res = run(argv)
+    assert res.exit_code == 2
+    assert limit in res.payload["reason"]
 
 
 def test_tables_subset():

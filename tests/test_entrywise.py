@@ -166,6 +166,15 @@ def test_power_witness_search():
     assert power_preserver_witness(4, 2.5, seed=1) is None
 
 
+def test_power_witness_search_dim_6():
+    # at n = 6 the failure at alpha = 3.5 is about 1e-9 of the spectral
+    # scale: far above eigvalsh rounding, far below a fixed 1e-8 gate
+    w = power_preserver_witness(6, 3.5)
+    assert w is not None and w.powered_min_eigenvalue < 0
+    for alpha in (3.0, 4.0, 4.5):  # integer, or >= n - 2: psd is preserved
+        assert power_preserver_witness(6, alpha) is None
+
+
 def test_power_witness_deterministic():
     a = power_preserver_witness(4, 0.7, seed=9)
     b = power_preserver_witness(4, 0.7, seed=9)

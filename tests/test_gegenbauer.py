@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as Q
 
@@ -19,11 +20,32 @@ from poscert.gegenbauer import (
 )
 from poscert.polycore import Poly
 
+# the package exports the function gegenbauer under the submodule's name
+gegenbauer_module = importlib.import_module("poscert.gegenbauer")
+
 
 def test_base_cases():
     for n in (2, 3, 8, 24):
         assert gegenbauer(n, 0) == Poly([1])
         assert gegenbauer(n, 1) == Poly([0, 1])
+
+
+def test_request_order_does_not_change_polynomials(monkeypatch):
+    # the table for a dimension grows with the highest degree requested;
+    # every order of requests yields the same polynomials
+    def build(n, ks):
+        monkeypatch.setattr(gegenbauer_module, "_TABLES", {})
+        return {k: gegenbauer(n, k) for k in ks}
+
+    for n in (2, 3, 7, 24):
+        ks = list(range(13))
+        shuffled = ks[:]
+        random.Random(n).shuffle(shuffled)
+        ascending = build(n, ks)
+        assert build(n, ks[::-1]) == ascending
+        assert build(n, shuffled) == ascending
+        fam = gegenbauer_family(n, 5).polys
+        assert len(fam) == 6 and list(fam) == [ascending[k] for k in range(6)]
 
 
 def test_classical_families():

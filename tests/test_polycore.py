@@ -7,16 +7,17 @@ from poscert.polycore import (
     Interval,
     Poly,
     certify_nonpositive,
+    count_roots_open,
     det_exact,
     nonpositivity_witness,
     parse_rat,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_pow,
     rat_str,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -95,8 +96,6 @@ def test_poly_pow_and_divmod():
     assert p == Poly([1, 3, 3, 1])
     q, r = poly_divmod(p, t + Poly.constant(1))
     assert r.is_zero and q == Poly([1, 2, 1])
-    g = poly_gcd(p, (t + Poly.constant(1)) * (t - Poly.constant(2)))
-    assert g == Poly([1, 1])
 
 
 def test_det_exact():
@@ -119,6 +118,28 @@ def test_squarefree_part():
     s = squarefree_part(p)
     assert s.degree == 2
     assert s(1) == 0 and s(-2) == 0
+
+
+def test_squarefree_part_and_root_counts_randomized():
+    # products of (t - r_i)^{m_i} with known roots: the squarefree part has
+    # exactly the r_i, each simple, and the chain counts them (also when an
+    # endpoint is a multiple root)
+    rng = random.Random(5)
+    t = Poly.identity()
+    for _ in range(60):
+        roots = sorted({Q(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))})
+        p = Poly.constant(rand_rat(rng, 9) or 1)
+        for r in roots:
+            p = p * (t - Poly.constant(r)) ** rng.randint(1, 3)
+        chain = sturm_chain(p)
+        s = squarefree_part(p)
+        assert s == chain[0] and s.degree == len(roots)
+        ds = s.derivative()
+        assert all(s(r) == 0 and ds(r) != 0 for r in roots)
+        marks = roots + [Q(rng.randint(-30, 30), 7) for _ in range(4)]
+        for _ in range(10):
+            a, b = sorted(rng.sample(marks, 2))
+            assert count_roots_open(chain, a, b) == sum(1 for r in roots if a < r < b)
 
 
 def test_certify_examples():
@@ -150,6 +171,20 @@ def test_certify_touching_roots():
     assert not ok and witness is not None
     a, b = witness
     assert Q(-1) <= a <= b <= Q(1)
+
+
+def test_certify_double_root_at_first_midpoint():
+    # the first bisection midpoint of [-1, 1/2] is -1/4, a double root of p
+    t = Poly.identity()
+    sq = (t + Poly.constant(Q(1, 4))) ** 2
+    iv = Interval(Q(-1), Q(1, 2))
+    assert certify_nonpositive(-(sq * (t - Poly.constant(Q(1, 4))) ** 2), iv)
+    # positive on (1/4, 1/3) only
+    p = -(sq * (t - Poly.constant(Q(1, 4))) * (t - Poly.constant(Q(1, 3))))
+    ok, witness = nonpositivity_witness(p, iv)
+    assert not ok
+    a, b = witness
+    assert Q(-1) <= a < Q(1, 3) and Q(1, 4) < b <= Q(1, 2)
 
 
 def test_certify_soundness_spot_check():
