@@ -35,7 +35,21 @@ class CommandResult:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
+    return data
+
+
+def _load_rows(path: str) -> list:
+    """The "rows" of a matrix file: a list of equally long lists."""
+    rows = _load_json(path)["rows"]
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError(f'{path}: "rows" must be a list of lists')
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"{path}: row {i} has {len(r)} entries, row 0 has {len(rows[0])}")
+    return rows
 
 
 def _cmd_gegenbauer(args) -> CommandResult:
@@ -76,7 +90,7 @@ def _cmd_bound(args) -> CommandResult:
 
 def _cmd_check(args) -> CommandResult:
     if args.check_command == "psd":
-        mat = entrywise.SymMatrix.from_json_dict(_load_json(args.matrix))
+        mat = entrywise.SymMatrix.from_rows(_load_rows(args.matrix))
         rep = entrywise.psd_check(mat, args.tol)
         payload = {
             "is_psd": rep.is_psd,
@@ -121,7 +135,7 @@ def _cmd_check(args) -> CommandResult:
 
 
 def _cmd_embed(args) -> CommandResult:
-    d = entrywise.DistanceMatrix(_load_json(args.distances)["rows"])
+    d = entrywise.DistanceMatrix(_load_rows(args.distances))
     if args.geometry == "euclidean":
         res = entrywise.euclidean_embed(d)
     else:

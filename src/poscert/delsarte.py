@@ -31,11 +31,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer, to_gegenbauer_basis
+from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_values, to_gegenbauer_basis
+# Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
+from .gegenbauer import gegenbauer  # noqa: F401
 from .polycore import Interval, Poly, nonpositivity_witness, parse_rat, rat, rat_str
 from .simplex import simplex_max
 
 _ANGLE_TOL = 1e-12
+# Slacks subtracted from c_0 by the certificate repair, tried in order.
+_EPS_LADDER = [Fraction(0)] + [Fraction(1, 2**e) for e in (20, 16, 14, 12, 11, 10, 9, 8, 7, 6)]
 
 
 class CertificateRejection(Exception):
@@ -193,16 +197,12 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     s_f = float(s_exact)
     ts = -1.0 + (s_f + 1.0) * (np.arange(grid + 1) / grid)
     ts[-1] = s_f
-    gvals = np.empty((grid + 1, d))
-    for k in range(1, d + 1):
-        ck = np.array([float(c) for c in gegenbauer(n, k).coeffs])
-        gvals[:, k - 1] = np.polynomial.polynomial.polyval(ts, ck)
 
     # Primal: min sum_k x_k  s.t.  sum_k (-G_k(t_i)) x_k >= 1, x >= 0.
     # Solved through its dual, max 1.y s.t. M^T y <= 1, y >= 0, whose
     # tableau has only d rows; the primal solution is read off the
     # objective-row entries under the dual slack columns.
-    res = simplex_max(np.ones(grid + 1), -gvals.T, np.ones(d))
+    res = simplex_max(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d))
     if res.status == "unbounded":
         raise LpInfeasible(
             f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
@@ -210,30 +210,15 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     float_bound = 1.0 + res.objective
     float_coeffs = np.concatenate(([1.0], np.maximum(res.slack_reduced_costs, 0.0)))
 
-    certificate = None
-    rejection = None
-    eps_ladder = [Fraction(0)] + [Fraction(1, 2**e) for e in (20, 16, 14, 12, 11, 10, 9, 8, 7, 6)]
-    done = False
-    for eps in eps_ladder:
-        for bits in (32, 40):
-            scale = 2**bits
-            cs = [Fraction(1) - eps] + [
-                Fraction(max(0, round(c * scale)), scale) for c in float_coeffs[1:]
-            ]
-            f = expand_gegenbauer(n, cs)
-            try:
-                certificate = verify_certificate(n, s_exact, f)
-                done = True
-                break
-            except CertificateRejection as exc:
-                rejection = str(exc)
-        if done:
-            break
-    if certificate is not None:
-        rejection = None
-    else:
-        rejection = f"slack repair failed: {rejection}"
-    return LpBoundResult(float_coeffs, float_bound, certificate, rejection)
+    # c_1..c_d rounded once to 2^-32; each rung only lowers c_0 = 1 - eps.
+    tail = expand_gegenbauer(n, [0] + [Fraction(round(c * 2**32), 2**32) for c in float_coeffs[1:]])
+    for eps in _EPS_LADDER:
+        try:
+            certificate = verify_certificate(n, s_exact, tail + Poly.constant(1 - eps))
+            return LpBoundResult(float_coeffs, float_bound, certificate, None)
+        except CertificateRejection as exc:
+            rejection = str(exc)
+    return LpBoundResult(float_coeffs, float_bound, None, f"slack repair failed: {rejection}")
 
 
 def blichfeldt_density_bound(n: int) -> float:

@@ -51,13 +51,6 @@ class SymMatrix:
             raise ValueError(f"asymmetry exceeds {tol}")
         return SymMatrix(a.shape[0], a)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "rows": self.entries.tolist()}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "SymMatrix":
-        return SymMatrix.from_rows(d["rows"])
-
 
 @dataclass(frozen=True)
 class PsdReport:
@@ -378,10 +371,3 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
                         violation = violation or ("mult_midconvex", xs[i], xs[j], xk)
                     break
     return VasudevaReport(nonneg, nondec, midconv, violation)
-
-
-def random_psd(n: int, rng: np.random.Generator, rank: Optional[int] = None) -> SymMatrix:
-    """Gram matrix of random Gaussian vectors (test-data helper)."""
-    r = rank if rank is not None else int(rng.integers(1, n + 1))
-    x = rng.standard_normal((n, r))
-    return SymMatrix(n, x @ x.T)

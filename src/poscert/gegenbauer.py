@@ -5,7 +5,8 @@ weight (1 - t^2)^{(n-3)/2}: Chebyshev (first kind) at n = 2, Legendre at
 n = 3, Chebyshev (second kind) at n = 4. Two independent constructions
 are provided -- the three-term recurrence and the generating-function
 expansion -- so each can check the other, plus exact basis conversion,
-normalized weight moments, and the spherical-harmonic dimension count.
+normalized weight moments, the spherical-harmonic dimension count, and
+the one float evaluation of the family (:func:`gegenbauer_values`).
 """
 
 from __future__ import annotations
@@ -82,6 +83,23 @@ def gegenbauer_family(n: int, kmax: int) -> GegenbauerFamily:
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     return GegenbauerFamily(n, _table(n, kmax)[: kmax + 1])
+
+
+def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
+    """Float values of G_0..G_kmax^{(n)} at ts; row k holds G_k(ts).
+
+    The three-term recurrence of :func:`_table`, run in floats, is stable
+    on [-1, 1]; monomial coefficients in floats cancel catastrophically
+    there from degree ~40 on.
+    """
+    _check_dim(n)
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    ts = np.asarray(ts, dtype=float)
+    out = [np.ones_like(ts), ts]
+    for k in range(2, kmax + 1):
+        out.append(((2 * k + n - 4) * ts * out[k - 1] - (k - 1) * out[k - 2]) / (k + n - 3))
+    return np.array(out[: kmax + 1])
 
 
 def _binom_rational(alpha: Fraction, m: int) -> Fraction:
@@ -252,9 +270,5 @@ def gegenbauer_gram_check(n: int, k: int, points: Sequence[Sequence[float]]) -> 
     bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
     if bad.any():
         raise ValueError(f"point {int(np.argmax(bad))} is not on the unit sphere")
-    gram = pts @ pts.T
-    gk = np.array([float(c) for c in gegenbauer(n, k).coeffs], dtype=float)
-    if gk.size == 0:
-        gk = np.zeros(1)
-    vals = np.polynomial.polynomial.polyval(gram, gk)
+    vals = gegenbauer_values(n, k, pts @ pts.T)[k]
     return float(np.linalg.eigvalsh(vals).min())

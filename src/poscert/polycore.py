@@ -37,7 +37,10 @@ def rat_str(q: Fraction) -> str:
 
 def parse_rat(s: str) -> Fraction:
     """Inverse of :func:`rat_str`; also accepts decimal strings."""
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
@@ -307,28 +310,29 @@ def nonpositivity_witness(
     if phi > 0:
         return False, (hi, hi)
     chain = sturm_chain(p)
-    return _nonpos_rec(p, chain, lo, hi, plo, phi, 0)
-
-
-def _nonpos_rec(p, chain, a, b, pa, pb, depth):
-    if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
-        raise RuntimeError("sign certification did not converge")
-    k = count_roots_open(chain, a, b)
-    if k == 0:
-        # No interior root: p has constant nonzero sign on (a, b).
+    # Depth-first bisection, left half first, over an explicit stack so
+    # that roots closer than 2^-1000 do not exhaust Python's frame limit.
+    stack = [(lo, hi, plo, phi, 0)]
+    while stack:
+        a, b, pa, pb, depth = stack.pop()
+        if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
+            raise RuntimeError("sign certification did not converge")
+        k = count_roots_open(chain, a, b)
+        if k == 0:
+            # No interior root: p has constant nonzero sign on (a, b).
+            if p((a + b) / 2) > 0:
+                return False, (a, b)
+            continue
+        if k == 1 and pa < 0 and pb < 0:
+            # Single interior touch point; negative approach from both sides.
+            continue
         m = (a + b) / 2
-        return (True, None) if p(m) <= 0 else (False, (a, b))
-    if k == 1 and pa < 0 and pb < 0:
-        # Single interior touch point; negative approach from both sides.
-        return True, None
-    m = (a + b) / 2
-    pm = p(m)
-    if pm > 0:
-        return False, (a, b)
-    ok, w = _nonpos_rec(p, chain, a, m, pa, pm, depth + 1)
-    if not ok:
-        return ok, w
-    return _nonpos_rec(p, chain, m, b, pm, pb, depth + 1)
+        pm = p(m)
+        if pm > 0:
+            return False, (a, b)
+        stack.append((m, b, pm, pb, depth + 1))
+        stack.append((a, m, pa, pm, depth + 1))
+    return True, None
 
 
 def certify_nonpositive(p: Poly, iv: Interval) -> bool:

@@ -24,13 +24,12 @@ _DEGENERATE_RUN = 40  # consecutive zero-progress pivots before Bland kicks in
 class SimplexResult:
     status: str  # "optimal" or "unbounded"
     objective: float
-    x: np.ndarray
     # Objective-row entries under the slack columns at termination; for a
     # max problem these are the dual values / shadow prices.
     slack_reduced_costs: np.ndarray
 
 
-def simplex_max(c, A, b, tol: float = _TOL) -> SimplexResult:
+def simplex_max(c, A, b) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -54,24 +53,22 @@ def simplex_max(c, A, b, tol: float = _TOL) -> SimplexResult:
         costs = T[m, : n + m]
         if stall < _DEGENERATE_RUN:
             enter = int(np.argmin(costs))
-            if costs[enter] >= -tol:
+            if costs[enter] >= -_TOL:
                 break
         else:
-            neg = np.nonzero(costs < -tol)[0]
+            neg = np.nonzero(costs < -_TOL)[0]
             if neg.size == 0:
                 break
             enter = int(neg[0])  # Bland: lowest-index improving column
 
         col = T[:m, enter]
-        pos = col > tol
+        pos = col > _TOL
         if not pos.any():
-            return SimplexResult(
-                "unbounded", np.inf, np.full(n, np.nan), T[m, n : n + m].copy()
-            )
+            return SimplexResult("unbounded", np.inf, T[m, n : n + m].copy())
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, -1][pos] / col[pos]
         best = ratios.min()
-        ties = np.nonzero(ratios <= best + tol)[0]
+        ties = np.nonzero(ratios <= best + _TOL)[0]
         leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
 
         before = T[m, -1]
@@ -81,11 +78,8 @@ def simplex_max(c, A, b, tol: float = _TOL) -> SimplexResult:
         colvals[leave] = 0.0
         T -= np.outer(colvals, T[leave])
         basis[leave] = enter
-        stall = stall + 1 if T[m, -1] <= before + tol else 0
+        stall = stall + 1 if T[m, -1] <= before + _TOL else 0
     else:  # pragma: no cover - Bland's rule terminates
         raise RuntimeError("simplex iteration limit exceeded")
 
-    x = np.zeros(n)
-    in_struct = basis < n
-    x[basis[in_struct]] = T[:m, -1][in_struct]
-    return SimplexResult("optimal", float(T[m, -1]), x, T[m, n : n + m].copy())
+    return SimplexResult("optimal", float(T[m, -1]), T[m, n : n + m].copy())

@@ -19,7 +19,6 @@ from poscert.entrywise import (
     euclidean_embed,
     power_preserver_witness,
     psd_check,
-    random_psd,
     schur_product,
     sphere_embed,
 )
@@ -44,6 +43,7 @@ from poscert.lattice import (
 )
 from poscert.polycore import Interval, Poly, certify_nonpositive
 from poscert.schurdet import det_series_direct, det_series_formula
+from random_matrices import random_psd
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -28,6 +28,10 @@ def test_bound_spherical_code():
     assert res.exit_code == 0
     assert res.payload["certificate"] is not None
     assert abs(res.payload["float_bound"] - 3.0) < 1e-6
+    # degree 200 needs the float recurrence on the grid
+    res = run(["bound", "spherical-code", "--dim", "3", "--cos", "1/2", "--degree", "200"])
+    assert res.exit_code == 0 and res.payload["certificate"] is not None
+    assert abs(res.payload["float_bound"] - 13.158225) < 1e-5
 
 
 def test_bound_infeasible_exit_code():
@@ -122,6 +126,30 @@ def test_sizes_rejected_up_front(argv, limit):
     res = run(argv)
     assert res.exit_code == 2
     assert limit in res.payload["reason"]
+
+
+@pytest.mark.parametrize("argv, payload, reason", [
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1/0", "--degree", "4"], None,
+                 "zero denominator in '1/0'", id="cos-zero-denominator"),
+    pytest.param(["check", "psd", "FILE"], [1, 2], "expected a JSON object", id="psd-list"),
+    pytest.param(["check", "midconvex", "FILE"], [1, 2], "expected a JSON object", id="midconvex-list"),
+    pytest.param(["embed", "euclidean", "FILE"], [1, 2], "expected a JSON object", id="embed-list"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], [1, 2], "expected a JSON object",
+                 id="expand-list"),
+    pytest.param(["check", "psd", "FILE"], {"rows": [[1, 0], [0]]}, "row 1 has 1 entries, row 0 has 2",
+                 id="psd-ragged"),
+    pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, 1, 2], [1, 0], [2, 1, 0]]},
+                 "row 1 has 2 entries, row 0 has 3", id="embed-ragged"),
+    pytest.param(["check", "psd", "FILE"], {"rows": [1, 2]}, '"rows" must be a list of lists',
+                 id="psd-flat-rows"),
+])
+def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
+    if payload is not None:
+        path = write(tmp_path, "in.json", payload)
+        argv = [path if a == "FILE" else a for a in argv]
+    res = run(argv)
+    assert res.exit_code == 2
+    assert reason in res.payload["reason"]
 
 
 def test_tables_subset():

@@ -98,6 +98,17 @@ def test_lp_bound_kissing_8_small_grid():
     assert float(res.certificate.bound) >= res.float_bound * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("n, d, grid, value", [
+    (3, 60, 2000, 13.158225),  # monomial coefficients in floats collapsed this to 12.09
+    (8, 11, 30000, 240.0),
+])
+def test_lp_bound_high_degree_and_fine_grid(n, d, grid, value):
+    res = lp_bound(n, Q(1, 2), d, grid=grid)
+    assert res.certificate is not None, res.rejection
+    assert abs(res.float_bound - value) <= 1e-4 * value
+    assert abs(float(res.certificate.bound) - value) <= 1e-4 * value
+
+
 def test_lp_bound_monotone_in_degree():
     prev = math.inf
     for d in range(1, 5):

@@ -16,11 +16,11 @@ from poscert.entrywise import (
     moment_matrix,
     power_preserver_witness,
     psd_check,
-    random_psd,
     schur_product,
     sphere_embed,
     vasudeva_2x2_check,
 )
+from random_matrices import random_psd
 
 
 def test_psd_identity():

@@ -11,6 +11,7 @@ from poscert.gegenbauer import (
     gegenbauer,
     gegenbauer_family,
     gegenbauer_gram_check,
+    gegenbauer_values,
     gegenbauer_via_generating_series,
     inner_product_normalized,
     jacobi_normalization_factor,
@@ -46,6 +47,21 @@ def test_request_order_does_not_change_polynomials(monkeypatch):
         assert build(n, shuffled) == ascending
         fam = gegenbauer_family(n, 5).polys
         assert len(fam) == 6 and list(fam) == [ascending[k] for k in range(6)]
+
+
+def test_float_values_match_exact_polynomials():
+    ts = np.linspace(-1.0, 1.0, 41)
+    for n in (2, 3, 8, 24):
+        vals = gegenbauer_values(n, 30, ts)
+        for k in range(31):
+            g = gegenbauer(n, k)
+            # Q(t) is the exact value of the float t
+            exact = [float(g(Q(t))) for t in ts]
+            assert np.allclose(vals[k], exact, rtol=0, atol=1e-12)
+        # |G_k| <= 1 on [-1, 1] holds in floats up to degree 200, where
+        # monomial coefficients converted to floats cancel catastrophically
+        high = gegenbauer_values(n, 200, np.linspace(-1.0, 1.0, 2001))
+        assert np.abs(high).max() <= 1.0 + 1e-12
 
 
 def test_classical_families():

@@ -187,6 +187,18 @@ def test_certify_double_root_at_first_midpoint():
     assert Q(-1) <= a < Q(1, 3) and Q(1, 4) < b <= Q(1, 2)
 
 
+def test_certify_roots_closer_than_python_frame_limit():
+    # positive only between 1/3 and 1/3 + 2^-1100: separating the roots
+    # takes about 1,100 bisection levels
+    t = Poly.identity()
+    r = Poly.constant(Q(1, 3))
+    p = -((t - r) * (t - r - Poly.constant(Q(1, 2**1100))))
+    ok, witness = nonpositivity_witness(p, Interval(Q(-1), Q(1)))
+    assert not ok
+    a, b = witness
+    assert Q(-1) <= a < b <= Q(1) and p((a + b) / 2) > 0
+
+
 def test_certify_soundness_spot_check():
     rng = random.Random(3)
     for _ in range(30):
