@@ -20,10 +20,14 @@ from .gegenbauer import gegenbauer as gegenbauer_poly
 from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
 from .polycore import Poly, parse_rat, rat_str
 
-# Largest N for `schur verify`. The series determinant is a cofactor
-# expansion, O(N!) ring products: at degree 12 one trial takes up to 1 s
-# at N = 6, 8-11 s at N = 7 and 55 s at N = 8 (2-vCPU Xeon VM).
-MAX_SCHUR_N = 7
+# Size limits; README ("CLI") has the timings behind them. `schur verify`
+# (Berkowitz, O(N^4) series products) runs 10 trials at degree 12 in 0.7 s
+# at N = 7 and 61 s at N = 17; u and v come from the 17 integers -8..8.
+MAX_SCHUR_N = 17
+MAX_SCHUR_DEGREE = 24
+MAX_GEGENBAUER_K = 1700
+MAX_LP_DEGREE = 800
+MAX_LP_ENTRIES = 20_000_000
 
 
 @dataclass
@@ -33,19 +37,22 @@ class CommandResult:
     text: str | None = None  # human rendering; JSON remains the contract
 
 
-def _load_json(path: str) -> dict:
+def _load_list(path: str, key: str, what: str, ok) -> list:
+    """The list under `key` in a JSON object file; `what` names the items `ok` accepts."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
-    return data
+    if key not in data:
+        raise ValueError(f'{path}: missing key "{key}"')
+    if not (isinstance(data[key], list) and all(map(ok, data[key]))):
+        raise ValueError(f'{path}: "{key}" must be a list of {what}')
+    return data[key]
 
 
 def _load_rows(path: str) -> list:
     """The "rows" of a matrix file: a list of equally long lists."""
-    rows = _load_json(path)["rows"]
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-        raise ValueError(f'{path}: "rows" must be a list of lists')
+    rows = _load_list(path, "rows", "lists", lambda r: isinstance(r, list))
     for i, r in enumerate(rows):
         if len(r) != len(rows[0]):
             raise ValueError(f"{path}: row {i} has {len(r)} entries, row 0 has {len(rows[0])}")
@@ -54,7 +61,10 @@ def _load_rows(path: str) -> list:
 
 def _cmd_gegenbauer(args) -> CommandResult:
     if args.expand:
-        p = Poly.from_strings(_load_json(args.expand)["poly"])
+        p = Poly.from_strings(_load_list(
+            args.expand, "poly", 'numbers or rational strings such as "1/3"',
+            lambda c: isinstance(c, (str, int, float)),
+        ))
         coeffs = to_gegenbauer_basis(args.dim, p)
         classical = to_jacobi_basis(args.dim, p)
         return CommandResult(0, {
@@ -64,6 +74,8 @@ def _cmd_gegenbauer(args) -> CommandResult:
         })
     if args.k is None:
         raise ValueError("either --k or --expand is required")
+    if not 0 <= args.k <= MAX_GEGENBAUER_K:
+        raise ValueError(f"--k must be between 0 and {MAX_GEGENBAUER_K}, got {args.k}")
     poly = gegenbauer_poly(args.dim, args.k)
     return CommandResult(0, {"dim": args.dim, "k": args.k, "poly": poly.to_strings()})
 
@@ -75,6 +87,11 @@ def _cmd_bound(args) -> CommandResult:
         payload["name"] = args.cert
         return CommandResult(0, payload)
     # spherical-code
+    if not 0 <= args.degree <= MAX_LP_DEGREE:
+        raise ValueError(f"--degree must be between 0 and {MAX_LP_DEGREE}, got {args.degree}")
+    max_grid = MAX_LP_ENTRIES // (args.degree + 1)
+    if args.grid > max_grid:
+        raise ValueError(f"--grid must be at most {max_grid} at --degree {args.degree}, got {args.grid}")
     try:
         res = delsarte.lp_bound(args.dim, parse_rat(args.cos), args.degree, args.grid)
     except delsarte.LpInfeasible as exc:
@@ -120,7 +137,11 @@ def _cmd_check(args) -> CommandResult:
         })
 
     # midconvex
-    samples = [(float(x), float(v)) for x, v in _load_json(args.samples)["samples"]]
+    pairs = _load_list(
+        args.samples, "samples", "[x, f(x)] pairs of numbers",
+        lambda p: isinstance(p, list) and len(p) == 2 and all(isinstance(z, (int, float)) for z in p),
+    )
+    samples = [(float(x), float(v)) for x, v in pairs]
     rep = entrywise.vasudeva_2x2_check(samples)
     ok = rep.nonnegative and rep.nondecreasing and rep.mult_midconvex
     payload = {
@@ -187,6 +208,8 @@ def _cmd_lattice(args) -> CommandResult:
 def _cmd_schur(args) -> CommandResult:
     if not 1 <= args.N <= MAX_SCHUR_N:
         raise ValueError(f"--N must be between 1 and {MAX_SCHUR_N}, got {args.N}")
+    if not 0 <= args.degree <= MAX_SCHUR_DEGREE:
+        raise ValueError(f"--degree must be between 0 and {MAX_SCHUR_DEGREE}, got {args.degree}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.seed)
@@ -238,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gegenbauer", help="emit G_k^{(n)} or expand a polynomial")
     g.add_argument("--dim", type=int, required=True)
-    g.add_argument("--k", type=int)
+    g.add_argument("--k", type=int, help=f"degree, 0-{MAX_GEGENBAUER_K}")
     g.add_argument("--expand", metavar="FILE")
     g.set_defaults(func=_cmd_gegenbauer)
 
@@ -247,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bs = bsub.add_parser("spherical-code", help="LP bound plus exact certificate")
     bs.add_argument("--dim", type=int, required=True)
     bs.add_argument("--cos", required=True, help="cos(psi) as 'p/q'")
-    bs.add_argument("--degree", type=int, required=True)
+    bs.add_argument("--degree", type=int, required=True, help=f"0-{MAX_LP_DEGREE}")
     bs.add_argument("--grid", type=int, default=2000)
     bk = bsub.add_parser("kissing", help="verify an embedded kissing certificate")
     bk.add_argument("--cert", choices=delsarte.KNOWN_CERTIFICATE_NAMES, required=True)
@@ -284,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = s.add_subparsers(dest="schur_command", required=True)
     sv = ssub.add_parser("verify")
     sv.add_argument("--N", type=int, required=True, help=f"matrix size, 1-{MAX_SCHUR_N}")
-    sv.add_argument("--degree", type=int, required=True)
+    sv.add_argument("--degree", type=int, required=True, help=f"degree of f, 0-{MAX_SCHUR_DEGREE}")
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--trials", type=int, default=10)
     s.set_defaults(func=_cmd_schur)
@@ -305,6 +328,8 @@ def run(argv: list[str]) -> CommandResult:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return CommandResult(2, {"reason": str(exc)})
+    except RuntimeError as exc:  # e.g. the simplex iteration limit
+        return CommandResult(1, {"reason": f"computation failed: {exc}"})
 
 
 def main(argv: list[str] | None = None) -> None:

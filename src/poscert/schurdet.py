@@ -8,17 +8,21 @@ length N, the determinant Delta(t) = det f[t u v^T] expands as
 
 with V the Vandermonde product prod_{i<j} (u_i - u_j) and s_n the Schur
 polynomial evaluated through the bialternant det(x_i^{n_j}) / V(x).
-Both sides are computed here independently over exact rationals -- the
-left by a determinant in the truncated power-series ring, the right by
-enumerating the strictly decreasing exponent tuples -- so each serves
-as an oracle for the other.
+Both sides are computed here independently and exactly, so each serves
+as an oracle for the other. The left is Berkowitz's division-free
+determinant (Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}), after
+one common denominator is cleared from the rational entries; it takes
+O(N^4) series products. The right enumerates the strictly decreasing
+exponent tuples over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .polycore import RationalLike, det_exact, rat
@@ -110,37 +114,53 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         assert self.cutoff == other.cutoff
         c = self.cutoff
-        out = [Fraction(0)] * (c + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(0, c + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(c, tuple(out))
+        return TruncatedSeries(c, tuple(_mul_trunc(self.coeffs, other.coeffs, c)))
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
 
-def _det_series(mat: list[list[TruncatedSeries]], cutoff: int) -> TruncatedSeries:
-    # Cofactor expansion along the first row. Truncation at the cutoff is
-    # a ring homomorphism, and the cofactor formula is division-free, so
-    # this computes the truncated determinant exactly. (The truncated
-    # ring has zero divisors, which rules out fraction-free elimination.)
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = TruncatedSeries.make(cutoff)
-    for j in range(n):
-        a = mat[0][j]
-        if a.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        term = a * _det_series(minor, cutoff)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _mul_trunc(a: Sequence, b: Sequence, cutoff: int) -> list:
+    """Coefficients 0..cutoff of the product of two coefficient sequences.
+
+    Missing coefficients are zero. Each output is one dot product of the
+    shorter sequence, reversed, with a window of the longer one.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    ra, pb = a[::-1], [0] * (len(a) - 1) + list(b)
+    return [
+        sum(map(mul, ra, pb[k : k + len(a)]))
+        for k in range(min(len(a) + len(b) - 1, cutoff + 1))
+    ]
+
+
+def _dot(xs: Sequence[list[int]], ys: Sequence[list[int]], cutoff: int) -> list[int]:
+    """sum_j xs[j] * ys[j] in Z[t]/(t^{cutoff+1})."""
+    prods = [_mul_trunc(x, y, cutoff) for x, y in zip(xs, ys)]
+    return [sum(col) for col in zip_longest(*prods, fillvalue=0)]
+
+
+def _det_berkowitz(a: list[list[list[int]]], cutoff: int) -> list[int]:
+    # Berkowitz's algorithm: the characteristic polynomial of the leading
+    # block A_{r+1} = [[A_r, C], [R, a_rr]] is the lower-triangular Toeplitz
+    # matrix with first column (1, -a_rr, -R C, -R A_r C, ..., -R A_r^{r-1} C)
+    # applied to that of A_r (Samuelson's formula). It uses only ring
+    # operations, so the zero divisors of the truncated ring do no harm.
+    # poly[m] is the coefficient of x^{r-m} in det(x I - A_r), so in the
+    # end det A = (-1)^N poly[N].
+    one = [1]
+    poly = [one]
+    for r in range(len(a)):
+        row, w = a[r][:r], [a[i][r] for i in range(r)]
+        col = [one, [-x for x in a[r][r]]]
+        for k in range(r):
+            col.append([-x for x in _dot(row, w, cutoff)])
+            if k < r - 1:
+                w = [_dot(a[i][:r], w, cutoff) for i in range(r)]
+        poly = [_dot(col[m::-1], poly[: m + 1], cutoff) for m in range(r + 2)]
+    return poly[-1] if len(a) % 2 == 0 else [-x for x in poly[-1]]
 
 
 def det_series_direct(
@@ -157,19 +177,13 @@ def det_series_direct(
         raise ValueError("u and v must have equal length")
     if cutoff < n * (n - 1) // 2:
         raise ValueError("cutoff must be at least binom(N, 2)")
-    fs = [rat(c) for c in f_coeffs]
-    mat = []
-    for ui in uu:
-        row = []
-        for vj in vv:
-            z = ui * vj
-            row.append(
-                TruncatedSeries.make(
-                    cutoff, [fs[m] * z**m if m < len(fs) else 0 for m in range(cutoff + 1)]
-                )
-            )
-        mat.append(row)
-    return _det_series(mat, cutoff)
+    fs = [rat(c) for c in f_coeffs][: cutoff + 1]
+    mat = [[[fm * (ui * vj) ** m for m, fm in enumerate(fs)] for vj in vv] for ui in uu]
+    # det(D A) = D^N det(A), for D the lcm of every entry's denominators.
+    d = lcm(*(c.denominator for row in mat for entry in row for c in entry))
+    scaled = [[[c.numerator * (d // c.denominator) for c in e] for e in row] for row in mat]
+    det = _det_berkowitz(scaled, cutoff)
+    return TruncatedSeries.make(cutoff, [Fraction(c, d**n) for c in det])
 
 
 def det_series_formula(

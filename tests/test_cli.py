@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from poscert.cli import run
+from poscert import cli
+from poscert.cli import (
+    MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_SCHUR_DEGREE, MAX_SCHUR_N, run,
+)
 
 
 def write(tmp_path, name, payload):
@@ -109,6 +112,9 @@ def test_lattice_info_json():
 def test_schur_verify():
     res = run(["schur", "verify", "--N", "3", "--degree", "6", "--seed", "0", "--trials", "4"])
     assert res.exit_code == 0 and res.payload["agree"]
+    # N = 12 needs the polynomial-time determinant: about 1 s
+    res = run(["schur", "verify", "--N", "12", "--degree", "12", "--trials", "1"])
+    assert res.exit_code == 0 and res.payload["agree"]
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -118,7 +124,19 @@ def test_schur_verify():
                  id="preserver-trials-zero"),
     pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
                  id="schur-trials-zero"),
-    pytest.param(["schur", "verify", "--N", "8", "--degree", "12"], "between 1 and 7", id="schur-N-8"),
+    pytest.param(["schur", "verify", "--N", str(MAX_SCHUR_N + 1), "--degree", "12"],
+                 f"between 1 and {MAX_SCHUR_N}", id=f"schur-N-{MAX_SCHUR_N + 1}"),
+    pytest.param(["schur", "verify", "--N", "10", "--degree", str(MAX_SCHUR_DEGREE + 1)],
+                 f"--degree must be between 0 and {MAX_SCHUR_DEGREE}", id="schur-degree-above-limit"),
+    pytest.param(["gegenbauer", "--dim", "3", "--k", str(MAX_GEGENBAUER_K + 1)],
+                 f"--k must be between 0 and {MAX_GEGENBAUER_K}", id="gegenbauer-k-above-limit"),
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1/2", "--degree",
+                  str(MAX_LP_DEGREE + 1)], f"--degree must be between 0 and {MAX_LP_DEGREE}",
+                 id="spherical-code-degree-above-limit"),
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1/2", "--degree", "4",
+                  "--grid", str(MAX_LP_ENTRIES // 5 + 1)],
+                 f"--grid must be at most {MAX_LP_ENTRIES // 5} at --degree 4",
+                 id="spherical-code-grid-above-limit"),
     pytest.param(["lattice", "info", "--name", "Z128"], "between 1 and 64", id="lattice-Z128"),
     pytest.param(["lattice", "info", "--name", "Z256", "--json"], "between 1 and 64", id="lattice-Z256"),
 ])
@@ -142,6 +160,11 @@ def test_sizes_rejected_up_front(argv, limit):
                  "row 1 has 2 entries, row 0 has 3", id="embed-ragged"),
     pytest.param(["check", "psd", "FILE"], {"rows": [1, 2]}, '"rows" must be a list of lists',
                  id="psd-flat-rows"),
+    pytest.param(["check", "psd", "FILE"], {"n": 2}, 'missing key "rows"', id="psd-missing-rows"),
+    pytest.param(["check", "midconvex", "FILE"], {"samples": [1, 2]},
+                 '"samples" must be a list of [x, f(x)] pairs of numbers', id="midconvex-flat-samples"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [[1]]},
+                 '"poly" must be a list of numbers or rational strings', id="expand-nested-poly"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     if payload is not None:
@@ -150,6 +173,16 @@ def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     res = run(argv)
     assert res.exit_code == 2
     assert reason in res.payload["reason"]
+
+
+def test_runtime_error_is_a_failed_run(monkeypatch):
+    def fails(args):
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_tables", fails)
+    res = run(["tables"])
+    assert res.exit_code == 1
+    assert res.payload["reason"] == "computation failed: simplex iteration limit exceeded"
 
 
 def test_tables_subset():

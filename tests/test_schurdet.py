@@ -141,3 +141,84 @@ def test_cutoff_validation():
         det_series_formula([1], [1, 2, 3], [1, 2, 3], 2)
     with pytest.raises(ValueError):
         det_series_formula([1, 1], [1, 1], [1, 2], 7)
+
+
+def _entry(fc, z, cutoff):
+    return TruncatedSeries.make(cutoff, [c * z**m for m, c in enumerate(fc)])
+
+
+def _leibniz(fc, u, v, cutoff):
+    # sum over permutations of sign * prod_i f(t u_i v_sigma(i)), in the series ring
+    n = len(u)
+    total = TruncatedSeries.make(cutoff)
+    for perm in permutations(range(n)):
+        term = TruncatedSeries.make(cutoff, [1])
+        for i, j in enumerate(perm):
+            term = term * _entry(fc, Q(u[i]) * Q(v[j]), cutoff)
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_direct_matches_leibniz_brute_force():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        cut = n * (n - 1) // 2 + 4
+        for rational in (False, True):
+            if rational:
+                u = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                v = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                fc = [Q(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(8)]
+            else:
+                u = [rng.randint(-5, 5) for _ in range(n)]  # repeats allowed
+                v = [rng.randint(-5, 5) for _ in range(n)]
+                fc = [rng.randint(-3, 3) for _ in range(8)]
+            assert det_series_direct(fc, u, v, cut) == _leibniz(fc, u, v, cut)
+
+
+def test_identity_randomized_larger_n():
+    # N = 5-9 over integers and over rationals, whose common denominator
+    # the direct side clears before its integer determinant
+    rng = random.Random(6)
+    pool_u = sorted({Q(p, q) for p in range(-9, 10) for q in (1, 2, 3, 5)})
+    pool_v = sorted({Q(p, q) for p in range(1, 19) for q in (1, 4, 7)})
+    for n in range(5, 10):
+        cut = n * (n - 1) // 2 + 6
+        u = rng.sample(range(-8, 9), n)
+        v = rng.sample(range(-8, 9), n)
+        fc = [rng.randint(-4, 4) for _ in range(n + 3)]
+        assert det_series_direct(fc, u, v, cut) == det_series_formula(fc, u, v, cut)
+        u, v = rng.sample(pool_u, n), rng.sample(pool_v, n)
+        fc = [Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n + 3)]
+        a = det_series_direct(fc, u, v, cut)
+        assert a == det_series_formula(fc, u, v, cut)
+        assert any(c.denominator > 1 for c in a.coeffs)
+
+
+def test_f0_zero_lowest_term_in_closed_form():
+    # f_0 = 0: the lightest tuple is (N, ..., 1), whose Schur polynomial is
+    # e_N = prod x_i, so the series starts at t^{N(N+1)/2} with the
+    # coefficient V(u) V(v) prod u_i prod v_i prod_{j=1..N} f_j
+    rng = random.Random(7)
+    for n in (3, 4, 5, 6):
+        cut = n * (n - 1) // 2 + 6
+        u = rng.sample(range(-8, 9), n)
+        v = rng.sample(range(-8, 9), n)
+        fc = [0] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n + 2)]
+        a = det_series_direct(fc, u, v, cut)
+        assert a == det_series_formula(fc, u, v, cut)
+        low = n * (n + 1) // 2
+        lead = vandermonde(u) * vandermonde(v)
+        for j in range(n):
+            lead *= u[j] * v[j] * fc[j + 1]
+        assert all(c == 0 for c in a.coeffs[:low])
+        assert a.coeffs[low] == lead
+
+
+def test_n_beyond_support_of_f_vanishes():
+    # f[t u v^T] = sum_m f_m t^m (u^m)(v^m)^T has rank at most |supp f|
+    fc = [2, 0, -1, 0, 0, 3]
+    for n in (4, 5, 6):
+        u, v = list(range(1, n + 1)), list(range(-n, 0))
+        assert det_series_direct(fc, u, v, n * (n - 1) // 2 + 6).is_zero
+    assert not det_series_direct(fc, [1, 2, 3], [-3, -2, -1], 9).is_zero
