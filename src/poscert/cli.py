@@ -28,6 +28,7 @@ MAX_SCHUR_DEGREE = 24
 MAX_GEGENBAUER_K = 1700
 MAX_LP_DEGREE = 800
 MAX_LP_ENTRIES = 20_000_000
+MAX_PRESERVER_DIM = 1500
 
 
 @dataclass
@@ -102,6 +103,8 @@ def _cmd_bound(args) -> CommandResult:
         "certificate": res.certificate.to_json_dict() if res.certificate else None,
         "rejection": res.rejection,
     }
+    if not res.certificate:
+        payload["reason"] = f"no certificate: {res.rejection}"
     return CommandResult(0 if res.certificate else 1, payload)
 
 
@@ -121,6 +124,8 @@ def _cmd_check(args) -> CommandResult:
         return CommandResult(0 if rep.is_psd else 1, payload)
 
     if args.check_command == "preserver":
+        if not 2 <= args.dim <= MAX_PRESERVER_DIM:
+            raise ValueError(f"--dim must be between 2 and {MAX_PRESERVER_DIM}, got {args.dim}")
         w = entrywise.power_preserver_witness(
             args.dim, args.power, seed=args.seed, trials=args.trials
         )
@@ -283,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--tol", type=float, default=None)
     cv = csub.add_parser("preserver")
     cv.add_argument("--power", type=float, required=True)
-    cv.add_argument("--dim", type=int, required=True)
+    cv.add_argument("--dim", type=int, required=True, help=f"2-{MAX_PRESERVER_DIM}")
     cv.add_argument("--seed", type=int, default=0)
     cv.add_argument("--trials", type=int, default=200)
     cm = csub.add_parser("midconvex")
@@ -328,8 +333,8 @@ def run(argv: list[str]) -> CommandResult:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return CommandResult(2, {"reason": str(exc)})
-    except RuntimeError as exc:  # e.g. the simplex iteration limit
-        return CommandResult(1, {"reason": f"computation failed: {exc}"})
+    except (RuntimeError, OverflowError, MemoryError) as exc:  # e.g. the simplex iteration limit
+        return CommandResult(1, {"reason": f"computation failed: {str(exc) or type(exc).__name__}"})
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -4,11 +4,11 @@ The core inequality: if f = sum_k c_k G_k^{(n)} with all c_k >= 0,
 c_0 > 0, and f <= 0 on [-1, cos(psi)], then any set of unit vectors in
 R^n with pairwise angles >= psi has at most f(1)/c_0 elements. This
 module verifies such certificates with exact rational arithmetic
-(:func:`verify_certificate`), searches for them numerically with a dense
-simplex LP and then repairs the result into an exact certificate
-(:func:`lp_bound`), and evaluates the classical packing-bound conversion
-formulas. The two published certificates that pin the kissing numbers
-k(8) = 240 and k(24) = 196560 ship as named fixtures.
+(:func:`verify_certificate`), finds them with a float simplex LP whose
+solution one computed slack on c_0 makes exact (:func:`lp_bound`), and
+evaluates the classical packing-bound conversion formulas. The two
+published certificates that pin the kissing numbers k(8) = 240 and
+k(24) = 196560 ship as named fixtures.
 
 Angles are carried by their cosine, exactly rational in every case of
 interest (cos pi/3 = 1/2, cos pi = -1).
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, sin
+from math import ceil, pi, sin
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,8 +38,6 @@ from .polycore import Interval, Poly, nonpositivity_witness, parse_rat, rat, rat
 from .simplex import simplex_max
 
 _ANGLE_TOL = 1e-12
-# Slacks subtracted from c_0 by the certificate repair, tried in order.
-_EPS_LADDER = [Fraction(0)] + [Fraction(1, 2**e) for e in (20, 16, 14, 12, 11, 10, 9, 8, 7, 6)]
 
 
 class CertificateRejection(Exception):
@@ -173,14 +171,14 @@ class LpBoundResult:
 
 
 def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
-    """Delsarte LP on a uniform grid, then exact slack repair.
+    """Delsarte LP on a uniform grid, then one computed slack on c_0.
 
     Minimizes f(1) over f = sum_{k<=d} c_k G_k^{(n)} with c_0 = 1 and
     c_k >= 0, subject to f(t_i) <= 0 at grid+1 equally spaced points of
-    [-1, s]. The grid relaxation can undershoot the true optimum between
-    grid points, so the rounded rational coefficients are re-certified
-    exactly, subtracting a small dyadic slack from c_0 when needed; the
-    repair only ever weakens the bound.
+    [-1, s]. Between grid points the float solution can exceed 0, so c_0
+    is lowered by the maximum of a float scan of f there before one exact
+    check; the repair only ever weakens the bound. When that slack would
+    reach c_0 = 1, no certificate is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -200,25 +198,35 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
 
     # Primal: min sum_k x_k  s.t.  sum_k (-G_k(t_i)) x_k >= 1, x >= 0.
     # Solved through its dual, max 1.y s.t. M^T y <= 1, y >= 0, whose
-    # tableau has only d rows; the primal solution is read off the
-    # objective-row entries under the dual slack columns.
+    # tableau has only d rows. The objective row holds -f(t_i) under the
+    # grid columns and the primal solution under the dual slack columns.
     res = simplex_max(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d))
     if res.status == "unbounded":
         raise LpInfeasible(
             f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
         )
     float_bound = 1.0 + res.objective
-    float_coeffs = np.concatenate(([1.0], np.maximum(res.slack_reduced_costs, 0.0)))
+    float_coeffs = np.concatenate(([1.0], np.maximum(res.reduced_costs[grid + 1 :], 0.0)))
 
-    # c_1..c_d rounded once to 2^-32; each rung only lowers c_0 = 1 - eps.
-    tail = expand_gegenbauer(n, [0] + [Fraction(round(c * 2**32), 2**32) for c in float_coeffs[1:]])
-    for eps in _EPS_LADDER:
+    # c_1..c_d rounded once to 2^-32 (exact floats), then f scanned within one
+    # grid step of each local maximum of the grid values f(t_i) = -reduced_costs[i].
+    rounded = np.round(float_coeffs * 2**32) / 2**32
+    up = np.diff(res.reduced_costs[: grid + 1]) < 0
+    peaks = ts[np.concatenate(([True], up)) & np.concatenate((~up, [True]))]
+    scan = np.clip((peaks[:, None] + np.linspace(-1, 1, 65) * (ts[1] - ts[0])).ravel(), -1.0, s_f)
+    peak = float((rounded @ gegenbauer_values(n, d, scan)).max())
+    noise = 1e-12 * float(rounded.sum())  # rounding noise at the exact optima
+    unit = Fraction(1, 2**32)
+    slack = 0 if peak <= noise else ceil((peak + noise) * 2**32) * unit
+    poly = expand_gegenbauer(n, [0] + [Fraction(c) for c in rounded[1:]])
+    while slack < 1:  # a rejected check adds 1, 8, 64, ... units of 2^-32
         try:
-            certificate = verify_certificate(n, s_exact, tail + Poly.constant(1 - eps))
+            certificate = verify_certificate(n, s_exact, poly + Poly.constant(1 - slack))
             return LpBoundResult(float_coeffs, float_bound, certificate, None)
-        except CertificateRejection as exc:
-            rejection = str(exc)
-    return LpBoundResult(float_coeffs, float_bound, None, f"slack repair failed: {rejection}")
+        except CertificateRejection:
+            slack, unit = slack + unit, unit * 8
+    rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
+    return LpBoundResult(float_coeffs, float_bound, None, rejection)
 
 
 def blichfeldt_density_bound(n: int) -> float:

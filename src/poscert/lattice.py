@@ -31,9 +31,6 @@ import numpy as np
 
 from .polycore import det_exact, rat, rat_str
 
-STANDARD_NAMES = ("A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8", "Leech")
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
@@ -517,10 +514,7 @@ def lattice_invariants(lat: Lattice) -> LatticeInvariants:
     """
     n = lat.rank
     start = min(lat.gram[i][i] for i in range(n))
-    vecs, norms = _short_vectors_with_norms(lat, start)
-    while not vecs:  # unreachable for the standard lattices; kept for safety
-        start *= 2
-        vecs, norms = _short_vectors_with_norms(lat, start)
+    _, norms = _short_vectors_with_norms(lat, start)
     lam = min(norms)
     kissing = sum(1 for q in norms if q == lam)
     det = lat.covolume_sq

@@ -183,10 +183,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return p * q
 
 
-def poly_pow(p: Poly, k: int) -> Poly:
-    return p ** k
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval [lo, hi]."""
@@ -259,11 +255,6 @@ def sturm_chain(p: Poly) -> list[Poly]:
             g = -g
         chain = [_primitive(poly_divmod(q, g)[0]) for q in chain]
     return chain
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Primitive positive multiple of p / gcd(p, p'); same roots as p, all simple."""
-    return sturm_chain(p)[0]
 
 
 def sign_changes(chain: Sequence[Poly], x: RationalLike) -> int:

@@ -24,9 +24,10 @@ _DEGENERATE_RUN = 40  # consecutive zero-progress pivots before Bland kicks in
 class SimplexResult:
     status: str  # "optimal" or "unbounded"
     objective: float
-    # Objective-row entries under the slack columns at termination; for a
-    # max problem these are the dual values / shadow prices.
-    slack_reduced_costs: np.ndarray
+    # The objective row at termination: the n reduced costs of the
+    # structural columns, then the m slack columns, whose entries are the
+    # dual values / shadow prices of a max problem.
+    reduced_costs: np.ndarray
 
 
 def simplex_max(c, A, b) -> SimplexResult:
@@ -64,7 +65,7 @@ def simplex_max(c, A, b) -> SimplexResult:
         col = T[:m, enter]
         pos = col > _TOL
         if not pos.any():
-            return SimplexResult("unbounded", np.inf, T[m, n : n + m].copy())
+            return SimplexResult("unbounded", np.inf, T[m, : n + m].copy())
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, -1][pos] / col[pos]
         best = ratios.min()
@@ -82,4 +83,4 @@ def simplex_max(c, A, b) -> SimplexResult:
     else:  # pragma: no cover - Bland's rule terminates
         raise RuntimeError("simplex iteration limit exceeded")
 
-    return SimplexResult("optimal", float(T[m, -1]), T[m, n : n + m].copy())
+    return SimplexResult("optimal", float(T[m, -1]), T[m, : n + m].copy())

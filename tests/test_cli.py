@@ -5,7 +5,8 @@ import pytest
 
 from poscert import cli
 from poscert.cli import (
-    MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_SCHUR_DEGREE, MAX_SCHUR_N, run,
+    MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_PRESERVER_DIM, MAX_SCHUR_DEGREE,
+    MAX_SCHUR_N, run,
 )
 
 
@@ -42,6 +43,15 @@ def test_bound_infeasible_exit_code():
                "--grid", "100"])
     assert res.exit_code == 1
     assert "infeasible" in res.payload["reason"]
+
+
+def test_bound_without_certificate_exit_code():
+    # feasible on the grid, but f exceeds 0 between grid points by about 3.6
+    res = run(["bound", "spherical-code", "--dim", "20", "--cos", "1/2", "--degree", "8"])
+    assert res.exit_code == 1
+    assert res.payload["certificate"] is None
+    assert res.payload["reason"] == f"no certificate: {res.payload['rejection']}"
+    assert "f exceeds 0 between grid points by 3.6" in res.payload["reason"]
 
 
 def test_check_psd(tmp_path):
@@ -122,6 +132,8 @@ def test_schur_verify():
                  id="preserver-trials-negative"),
     pytest.param(["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "0"], ">= 1",
                  id="preserver-trials-zero"),
+    pytest.param(["check", "preserver", "--power", "0.5", "--dim", str(MAX_PRESERVER_DIM + 1)],
+                 f"--dim must be between 2 and {MAX_PRESERVER_DIM}", id="preserver-dim-above-limit"),
     pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
                  id="schur-trials-zero"),
     pytest.param(["schur", "verify", "--N", str(MAX_SCHUR_N + 1), "--degree", "12"],
@@ -175,14 +187,21 @@ def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     assert reason in res.payload["reason"]
 
 
-def test_runtime_error_is_a_failed_run(monkeypatch):
+@pytest.mark.parametrize("exc, reason", [
+    pytest.param(RuntimeError("simplex iteration limit exceeded"), "simplex iteration limit exceeded",
+                 id="RuntimeError"),
+    pytest.param(OverflowError("int too large to convert to float"), "int too large to convert to float",
+                 id="OverflowError"),
+    pytest.param(MemoryError(), "MemoryError", id="MemoryError"),
+])
+def test_runtime_error_is_a_failed_run(monkeypatch, exc, reason):
     def fails(args):
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise exc
 
     monkeypatch.setattr(cli, "_cmd_tables", fails)
     res = run(["tables"])
     assert res.exit_code == 1
-    assert res.payload["reason"] == "computation failed: simplex iteration limit exceeded"
+    assert res.payload["reason"] == f"computation failed: {reason}"
 
 
 def test_tables_subset():

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from poscert import delsarte
 from poscert.delsarte import (
     BoundCertificate,
     CertificateRejection,
@@ -74,12 +75,60 @@ def test_certificate_json_round_trip():
     assert back.coeffs == c.coeffs
 
 
-def test_lp_bound_degree_one_exact():
-    for n in (3, 5, 8):
-        res = lp_bound(n, Q(-1, 2), 1, grid=200)
-        assert abs(res.float_bound - 3.0) < 1e-9
-        assert res.certificate is not None
-        assert res.certificate.bound == 3
+# Exact optima: 3 for degree 1 at cos -1/2, 2n at cos 0 (cross-polytope)
+# and n + 1 at cos -1/n (regular simplex). The float scan finds nothing
+# above rounding noise there, so the slack is 0 and the bound is exact.
+@pytest.mark.parametrize("n, s, d, grid, value", [
+    pytest.param(3, Q(-1, 2), 1, 200, 3, id="dim3-deg1-cos-half"),
+    pytest.param(5, Q(-1, 2), 1, 200, 3, id="dim5-deg1-cos-half"),
+    pytest.param(8, Q(-1, 2), 1, 200, 3, id="dim8-deg1-cos-half"),
+    pytest.param(5, Q(0), 8, 2000, 10, id="dim5-deg8-cos0"),
+    pytest.param(12, Q(0), 10, 2000, 24, id="dim12-deg10-cos0"),
+    pytest.param(4, Q(-1, 4), 6, 2000, 5, id="dim4-deg6-cos-quarter"),
+    pytest.param(10, Q(-1, 10), 8, 2000, 11, id="dim10-deg8-cos-tenth"),
+])
+def test_lp_bound_exact_optima(n, s, d, grid, value):
+    res = lp_bound(n, s, d, grid=grid)
+    assert abs(res.float_bound - value) < 1e-9 * value
+    assert res.certificate is not None, res.rejection
+    assert res.certificate.bound == value
+
+
+@pytest.mark.parametrize("n, d, ppm", [(8, 6, 5), (24, 10, 100)])
+def test_lp_bound_certified_near_float(n, d, ppm):
+    res = lp_bound(n, Q(1, 2), d, grid=2000)
+    assert res.certificate is not None, res.rejection
+    gap = (float(res.certificate.bound) - res.float_bound) / res.float_bound
+    assert -1e-9 <= gap <= ppm * 1e-6
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_certificate(*args)
+
+    monkeypatch.setattr(delsarte, "verify_certificate", counted)
+    return calls
+
+
+def test_lp_bound_one_exact_check_per_bound(verify_calls):
+    # the scanned slack passes the first exact check in every dimension here
+    for n in range(3, 25):
+        assert lp_bound(n, Q(1, 2), 10, grid=2000).certificate is not None
+    assert len(verify_calls) == 22
+
+
+def test_lp_bound_overshoot_between_grid_points(verify_calls):
+    # f exceeds 0 by about 3.6 near t = -0.43 between grid points; the
+    # float bound grows with the grid, so no slack on c_0 = 1 can help.
+    res = lp_bound(20, Q(1, 2), 8, grid=2000)
+    assert res.certificate is None
+    assert res.rejection.startswith("f exceeds 0 between grid points by 3.6")
+    assert res.rejection.endswith("so c_0 = 1 cannot absorb it")
+    assert not verify_calls
 
 
 def test_lp_bound_infeasible():
