@@ -260,8 +260,13 @@ def _cmd_tables(args) -> CommandResult:
     return CommandResult(0 if report["all_match"] else 1, report, text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line exits 2 with a JSON reason
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="poscert")
+    p = _Parser(prog="poscert")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gegenbauer", help="emit G_k^{(n)} or expand a polynomial")
@@ -327,9 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> CommandResult:
     """Dispatch a command line; returns the result instead of exiting."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return CommandResult(2, {"reason": str(exc)})

@@ -71,8 +71,8 @@ def psd_check(a: Union[SymMatrix, np.ndarray], tol: Optional[float] = None) -> P
     m = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if tol is not None and tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     vals = np.linalg.eigvalsh(m)
     if tol is None:
         scale = float(np.abs(vals).max()) if vals.size else 0.0
@@ -161,6 +161,8 @@ def power_preserver_witness(
         raise ValueError("dimension must be >= 2")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"power must be finite, got {alpha}")
     gate = 100 * n * np.finfo(float).eps
     rng = np.random.default_rng(seed)
     scales = (1.0, 0.25, 0.05, 4.0, 0.01)
@@ -344,6 +346,9 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
     """
     xs = [float(x) for x, _ in samples]
     fs = [float(v) for _, v in samples]
+    for x, v in zip(xs, fs):
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise ValueError(f"sample [x, f(x)] = [{x}, {v}] is not finite")
     if any(x <= 0 for x in xs):
         raise ValueError("sample points must be positive")
     if any(b <= a for a, b in zip(xs, xs[1:])):

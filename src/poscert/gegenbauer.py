@@ -201,12 +201,10 @@ def to_jacobi_basis(n: int, p: Poly) -> GegenbauerCoeffs:
 
 
 def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
-    """Inverse of :func:`to_gegenbauer_basis`."""
+    """Inverse of :func:`to_gegenbauer_basis`; trailing zeros extend no table."""
     _check_dim(n)
     cs = [rat(c) for c in coeffs]
-    if not cs:
-        return Poly()
-    fam = _table(n, len(cs) - 1)
+    fam = _table(n, max((k for k, c in enumerate(cs) if c), default=0))
     out = Poly()
     for k, c in enumerate(cs):
         if c:

@@ -1,20 +1,21 @@
 """Exact rational polynomials and Sturm-sequence sign certification.
 
-Everything in this module is computed over ``fractions.Fraction``; no
-floating point enters any code path. The central export is
-:func:`certify_nonpositive`, which decides exactly whether a polynomial
-is <= 0 on a closed rational interval. Each check builds one signed
-remainder sequence (:func:`sturm_chain`), which yields the squarefree
-part and its Sturm chain together, and :func:`poly_divmod` is the one
-polynomial division. All values are immutable and all functions are
-pure, so they are safe to share across threads.
+No floating point enters any code path. :class:`Poly` holds ``Fraction``
+coefficients; certification runs on Python ints, with ``Fraction`` only
+at its edges (interval ends, bisection midpoints, witnesses). The central
+export :func:`certify_nonpositive` decides exactly whether a polynomial
+is <= 0 on a closed rational interval: p is made primitive once, one
+primitive remainder sequence (:func:`sturm_chain`) yields the squarefree
+part and its Sturm chain, ``_pseudo_divmod`` is the one division and
+``_sign`` the one sign test. All values are immutable and all functions
+are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -41,6 +42,8 @@ def parse_rat(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    except OverflowError:
+        raise ValueError(f"{s!r} is not a finite number") from None
 
 
 def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
@@ -197,86 +200,78 @@ class Interval:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
 
-def _content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-coefficient and content 1."""
-    g = 0
-    l = 1
-    for c in p.coeffs:
-        g = gcd(g, abs(c.numerator))
-        l = l * c.denominator // gcd(l, c.denominator)
-    return Fraction(g, l)
+def _primitive(cs: Sequence[Union[Fraction, int]]) -> tuple[int, ...]:
+    """The primitive integer polynomial that is a positive multiple of cs."""
+    m = lcm(*(c.denominator for c in cs))
+    cs = [c.numerator * (m // c.denominator) for c in cs]
+    g = gcd(*cs)
+    return tuple(c // g for c in cs)
 
 
-def _primitive(p: Poly) -> Poly:
-    """Strip content (positive scaling only, so signs are preserved)."""
-    if p.is_zero:
-        return p
-    return p.scale(1 / _content(p))
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer q, r with k a = q b + r for some integer k > 0.
+
+    A step scales q and r by |lc(b)| only when lc(b) does not divide the
+    leading term, so an exact division takes no coefficient growth.
+    """
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    for k in reversed(range(len(q))):
+        c = r.pop()
+        if c % lb:
+            q = [abs(lb) * x for x in q]
+            r = [abs(lb) * x for x in r]
+            c = c if lb > 0 else -c
+        else:
+            c //= lb
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b over the rationals."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    db = b.degree
-    lead = b.leading()
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] / lead
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b.coeffs):
-            r[shift + i] -= c * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return Poly(q), Poly(r)
+def _sign(cs: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial cs at x = a/b, from sum c_i a^i b^(d-i)."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
+def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
     """Sturm chain of the squarefree part of p, from one remainder sequence.
 
     The signed remainder sequence p, p', -rem(p, p'), ... ends in
     g = gcd(p, p'). When g is not constant, every member is divided by g
     (taken with a positive leading coefficient), which leaves a Sturm
     chain of p / g: it counts the distinct real roots of p, and it is safe
-    to evaluate at a multiple root of p. Each member is content-stripped
-    by a positive rational, which keeps every sign pattern intact while
-    bounding coefficient blowup.
+    to evaluate at a multiple root of p. Each member is the primitive
+    integer positive multiple of its rational counterpart: same signs.
     """
-    chain = [_primitive(p)]
-    nxt = _primitive(p.derivative())
-    while not nxt.is_zero:
+    chain = [_primitive(p.coeffs)]
+    nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
+    while nxt:
         chain.append(nxt)
-        nxt = _primitive(-poly_divmod(chain[-2], chain[-1])[1])
+        nxt = _primitive([-c for c in _pseudo_divmod(chain[-2], nxt)[1]])
     g = chain[-1]
-    if g.degree:  # neither p = 0 (None) nor a constant gcd (0)
-        if g.leading() < 0:
-            g = -g
-        chain = [_primitive(poly_divmod(q, g)[0]) for q in chain]
+    if len(g) > 1:  # neither p = 0 nor a constant gcd
+        g = g if g[-1] > 0 else [-c for c in g]
+        chain = [_primitive(_pseudo_divmod(q, g)[0]) for q in chain]
     return chain
 
 
-def sign_changes(chain: Sequence[Poly], x: RationalLike) -> int:
-    """Sign changes of the chain at x, zeros dropped.
+def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
+    """Distinct roots of the chain's squarefree head in (a, b); a, b may be roots."""
+    def changes(x: Fraction) -> int:
+        signs = [s for s in (_sign(q, x) for q in chain) if s]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
-    For a squarefree head polynomial this equals the right-limit count,
-    so evaluating at a root of the head is safe.
-    """
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_open(chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of the chain's squarefree head in the open interval (a, b)."""
-    n = sign_changes(chain, a) - sign_changes(chain, b)
-    if chain[0](b) == 0:
-        n -= 1
-    return n
+    return changes(a) - changes(b) - (_sign(chain[0], b) == 0)
 
 
 def nonpositivity_witness(
@@ -291,13 +286,14 @@ def nonpositivity_witness(
     """
     if p.is_zero:
         return True, None
+    ip = _primitive(p.coeffs)
     lo, hi = iv.lo, iv.hi
-    plo = p(lo)
+    plo = _sign(ip, lo)
     if plo > 0:
         return False, (lo, lo)
     if lo == hi:
         return True, None
-    phi = p(hi)
+    phi = _sign(ip, hi)
     if phi > 0:
         return False, (hi, hi)
     chain = sturm_chain(p)
@@ -309,18 +305,14 @@ def nonpositivity_witness(
         if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
             raise RuntimeError("sign certification did not converge")
         k = count_roots_open(chain, a, b)
-        if k == 0:
-            # No interior root: p has constant nonzero sign on (a, b).
-            if p((a + b) / 2) > 0:
-                return False, (a, b)
-            continue
-        if k == 1 and pa < 0 and pb < 0:
-            # Single interior touch point; negative approach from both sides.
-            continue
         m = (a + b) / 2
-        pm = p(m)
+        pm = _sign(ip, m)
         if pm > 0:
             return False, (a, b)
+        # No interior root: p < 0 on (a, b). One root, with p < 0 at both
+        # ends: a touch point, so p <= 0 on [a, b] and pm was <= 0 too.
+        if k == 0 or (k == 1 and pa < 0 and pb < 0):
+            continue
         stack.append((m, b, pm, pb, depth + 1))
         stack.append((a, m, pa, pm, depth + 1))
     return True, None

@@ -177,6 +177,18 @@ def test_sizes_rejected_up_front(argv, limit):
                  '"samples" must be a list of [x, f(x)] pairs of numbers', id="midconvex-flat-samples"),
     pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [[1]]},
                  '"poly" must be a list of numbers or rational strings', id="expand-nested-poly"),
+    pytest.param(["check", "psd", "FILE", "--tol", "nan"], {"rows": [[1, 2], [2, 1]]},
+                 "tolerance must be finite and >= 0, got nan", id="psd-tol-nan"),
+    pytest.param(["check", "psd", "FILE", "--tol", "inf"], {"rows": [[1, 2], [2, 1]]},
+                 "tolerance must be finite and >= 0, got inf", id="psd-tol-inf"),
+    pytest.param(["check", "midconvex", "FILE"], {"samples": [[1, float("nan")]]},
+                 "sample [x, f(x)] = [1.0, nan] is not finite", id="midconvex-nan"),
+    pytest.param(["check", "midconvex", "FILE"], {"samples": [[1, 2], [float("inf"), 3]]},
+                 "sample [x, f(x)] = [inf, 3.0] is not finite", id="midconvex-inf"),
+    pytest.param(["check", "preserver", "--power", "nan", "--dim", "3"], None,
+                 "power must be finite, got nan", id="preserver-power-nan"),
+    pytest.param(["check", "preserver", "--power", "inf", "--dim", "3"], None,
+                 "power must be finite, got inf", id="preserver-power-inf"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     if payload is not None:
@@ -185,6 +197,82 @@ def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     res = run(argv)
     assert res.exit_code == 2
     assert reason in res.payload["reason"]
+
+
+def case(code, label, argv, payload=None):
+    return pytest.param(argv, payload, code, id=f"{code}-{label}")
+
+
+# Every subcommand with valid (0), failing (1) and malformed (2) inputs. A
+# payload is written with json.dumps, so NaN and Infinity reach the loaders
+# as the JSON extensions Python's json module reads.
+SC = ("bound", "spherical-code")
+NAN = float("nan")
+STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+CONTRACT_CASES = [
+    case(0, "gegenbauer-k", ["gegenbauer", "--dim", "3", "--k", "4"]),
+    case(0, "expand", ["gegenbauer", "--dim", "5", "--expand", "FILE"], {"poly": ["1/2", 0, 3.5]}),
+    case(2, "gegenbauer-dim-1", ["gegenbauer", "--dim", "1", "--k", "2"]),
+    case(2, "gegenbauer-no-k", ["gegenbauer", "--dim", "3"]),
+    case(2, "gegenbauer-dim-not-int", ["gegenbauer", "--dim", "x", "--k", "2"]),
+    case(2, "expand-inf", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [float("inf")]}),
+    case(2, "expand-zero-den", ["gegenbauer", "--dim", "4", "--expand", "FILE"], {"poly": ["1/0"]}),
+    case(0, "spherical-code", [*SC, "--dim", "4", "--cos=-1/2", "--degree", "2", "--grid", "200"]),
+    case(1, "infeasible", [*SC, "--dim", "4", "--cos", "1/2", "--degree", "1", "--grid", "100"]),
+    case(1, "degree-0", [*SC, "--dim", "3", "--cos", "1/2", "--degree", "0"]),
+    case(2, "cos-1", [*SC, "--dim", "3", "--cos", "1", "--degree", "4"]),
+    case(2, "cos-nan", [*SC, "--dim", "3", "--cos", "nan", "--degree", "4"]),
+    case(2, "spherical-code-dim-1", [*SC, "--dim", "1", "--cos", "1/2", "--degree", "4"]),
+    case(2, "grid-below-degree", [*SC, "--dim", "3", "--cos", "1/2", "--degree", "4", "--grid", "3"]),
+    case(2, "spherical-code-no-degree", [*SC, "--dim", "3", "--cos", "1/2"]),
+    case(0, "kissing", ["bound", "kissing", "--cert", "paper-8"]),
+    case(2, "kissing-unknown-cert", ["bound", "kissing", "--cert", "paper-9"]),
+    case(0, "psd", ["check", "psd", "FILE"], {"rows": [[2, 1], [1, 2]]}),
+    case(1, "not-psd", ["check", "psd", "FILE"], {"rows": [[1, 2], [2, 1]]}),
+    case(2, "psd-tol-negative", ["check", "psd", "FILE", "--tol", "-1"], {"rows": [[1, 2], [2, 1]]}),
+    case(2, "psd-nan", ["check", "psd", "FILE"], {"rows": [[1, NAN], [NAN, 1]]}),
+    case(2, "psd-not-square", ["check", "psd", "FILE"], {"rows": [[1, 2]]}),
+    case(2, "psd-string", ["check", "psd", "FILE"], {"rows": [["a"]]}),
+    case(0, "preserver", ["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "20"]),
+    case(2, "preserver-dim-1", ["check", "preserver", "--power", "0.5", "--dim", "1"]),
+    case(2, "preserver-power-not-float", ["check", "preserver", "--power", "half", "--dim", "3"]),
+    case(0, "midconvex", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 2], [4, 4]]}),
+    case(1, "midconvex-decreasing", ["check", "midconvex", "FILE"], {"samples": [[1, 2], [2, 1]]}),
+    case(2, "midconvex-x-0", ["check", "midconvex", "FILE"], {"samples": [[0, 1]]}),
+    case(2, "midconvex-unsorted", ["check", "midconvex", "FILE"], {"samples": [[2, 1], [1, 2]]}),
+    case(0, "euclidean", ["embed", "euclidean", "FILE"], {"rows": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
+    case(1, "euclidean-star", ["embed", "euclidean", "FILE"], {"rows": STAR}),
+    case(2, "euclidean-nan", ["embed", "euclidean", "FILE"], {"rows": [[0, NAN], [NAN, 0]]}),
+    case(2, "euclidean-asymmetric", ["embed", "euclidean", "FILE"], {"rows": [[0, 1], [2, 0]]}),
+    case(0, "sphere", ["embed", "sphere", "FILE"], {"rows": [[0, 1], [1, 0]]}),
+    case(1, "sphere-diameter", ["embed", "sphere", "FILE"], {"rows": [[0, 3.5], [3.5, 0]]}),
+    case(2, "sphere-negative", ["embed", "sphere", "FILE"], {"rows": [[0, -1], [-1, 0]]}),
+    case(0, "lattice", ["lattice", "info", "--name", "D4", "--json"]),
+    case(2, "lattice-Z0", ["lattice", "info", "--name", "Z0"]),
+    case(2, "lattice-unknown", ["lattice", "info", "--name", "Zork"]),
+    case(0, "schur", ["schur", "verify", "--N", "3", "--degree", "4", "--trials", "2"]),
+    case(2, "schur-N-0", ["schur", "verify", "--N", "0", "--degree", "4"]),
+    case(2, "schur-degree-negative", ["schur", "verify", "--N", "3", "--degree", "-1"]),
+    case(2, "schur-N-not-int", ["schur", "verify", "--N", "three", "--degree", "4"]),
+    case(0, "tables", ["tables", "--dims", "1", "2"]),
+    case(2, "tables-dim-9", ["tables", "--dims", "9"]),
+    case(2, "tables-dim-not-int", ["tables", "--dims", "x"]),
+    case(2, "no-command", []),
+    case(2, "unknown-command", ["frobnicate"]),
+    case(2, "check-no-subcommand", ["check"]),
+]
+
+
+@pytest.mark.parametrize("argv, payload, code", CONTRACT_CASES)
+def test_cli_contract(tmp_path, argv, payload, code):
+    # exit 0/1/2, a payload that is strict JSON, and a reason on 1 and 2
+    if payload is not None:
+        path = write(tmp_path, "in.json", payload)
+        argv = [path if a == "FILE" else a for a in argv]
+    res = run(argv)
+    assert res.exit_code == code
+    json.dumps(res.payload, allow_nan=False)
+    assert code == 0 or res.payload["reason"]
 
 
 @pytest.mark.parametrize("exc, reason", [

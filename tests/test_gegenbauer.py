@@ -49,6 +49,15 @@ def test_request_order_does_not_change_polynomials(monkeypatch):
         assert len(fam) == 6 and list(fam) == [ascending[k] for k in range(6)]
 
 
+def test_expand_ignores_trailing_zero_coefficients(monkeypatch):
+    # a degree-0 expansion written with 500 zero coefficients after it must
+    # not build G_2..G_500; the table always starts as G_0, G_1
+    monkeypatch.setattr(gegenbauer_module, "_TABLES", {})
+    assert expand_gegenbauer(11, [1] + [0] * 500) == Poly([1])
+    assert len(gegenbauer_module._TABLES[11]) == 2
+    assert expand_gegenbauer(11, [0] * 3) == Poly()
+
+
 def test_float_values_match_exact_polynomials():
     ts = np.linspace(-1.0, 1.0, 41)
     for n in (2, 3, 8, 24):

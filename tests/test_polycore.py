@@ -11,7 +11,6 @@ from poscert.polycore import (
     det_exact,
     nonpositivity_witness,
     parse_rat,
-    poly_divmod,
     poly_eval,
     poly_mul,
     rat_str,
@@ -92,8 +91,6 @@ def test_poly_pow_and_divmod():
     t = Poly.identity()
     p = (t + Poly.constant(1)) ** 3
     assert p == Poly([1, 3, 3, 1])
-    q, r = poly_divmod(p, t + Poly.constant(1))
-    assert r.is_zero and q == Poly([1, 2, 1])
 
 
 def test_det_exact():
@@ -113,7 +110,7 @@ def test_det_exact():
 def test_squarefree_part():
     t = Poly.identity()
     p = (t - Poly.constant(1)) ** 3 * (t + Poly.constant(2))
-    s = sturm_chain(p)[0]
+    s = Poly(sturm_chain(p)[0])
     assert s.degree == 2
     assert s(1) == 0 and s(-2) == 0
 
@@ -130,7 +127,7 @@ def test_squarefree_part_and_root_counts_randomized():
         for r in roots:
             p = p * (t - Poly.constant(r)) ** rng.randint(1, 3)
         chain = sturm_chain(p)
-        s = chain[0]
+        s = Poly(chain[0])
         assert s.degree == len(roots)
         ds = s.derivative()
         assert all(s(r) == 0 and ds(r) != 0 for r in roots)
@@ -138,6 +135,38 @@ def test_squarefree_part_and_root_counts_randomized():
         for _ in range(10):
             a, b = sorted(rng.sample(marks, 2))
             assert count_roots_open(chain, a, b) == sum(1 for r in roots if a < r < b)
+
+
+def test_witness_matches_root_oracle():
+    # p = c * prod (t - r_i)^{m_i} has only the roots r_i, so its sign on
+    # [lo, hi] is read off with Poly.__call__ at the roots and at the
+    # midpoints between them; the oracle needs no Sturm chain
+    rng = random.Random(8)
+    t = Poly.identity()
+
+    def positive_points(p, roots, lo, hi):
+        marks = sorted({lo, hi} | {r for r in roots if lo < r < hi})
+        mids = [(u + v) / 2 for u, v in zip(marks, marks[1:])]
+        return [x for x in marks + mids if p(x) > 0]
+
+    certified = witnessed = 0
+    for _ in range(300):
+        roots = sorted({Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))})
+        p = Poly.constant(rng.choice((-1, 1)) * Q(rng.randint(1, 9), rng.randint(1, 9)))
+        for r in roots:
+            p = p * (t - Poly.constant(r)) ** rng.randint(1, 4)
+        ends = [rng.choice(roots) if roots and rng.random() < 0.6 else Q(rng.randint(-20, 20), 7)
+                for _ in range(2)]
+        lo, hi = min(ends), max(ends)
+        ok, witness = nonpositivity_witness(p, Interval(lo, hi))
+        assert ok == (not positive_points(p, roots, lo, hi)), (p, lo, hi)
+        if ok:
+            certified += 1
+        else:
+            witnessed += 1
+            a, b = witness
+            assert lo <= a <= b <= hi and positive_points(p, roots, a, b), (p, lo, hi, witness)
+    assert certified > 50 and witnessed > 50
 
 
 def test_certify_examples():
