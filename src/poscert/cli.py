@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -63,8 +64,8 @@ def _load_rows(path: str) -> list:
 def _cmd_gegenbauer(args) -> CommandResult:
     if args.expand:
         p = Poly.from_strings(_load_list(
-            args.expand, "poly", 'numbers or rational strings such as "1/3"',
-            lambda c: isinstance(c, (str, int, float)),
+            args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
+            lambda c: isinstance(c, (str, int)) or isinstance(c, float) and math.isfinite(c),
         ))
         coeffs = to_gegenbauer_basis(args.dim, p)
         classical = to_jacobi_basis(args.dim, p)

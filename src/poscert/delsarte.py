@@ -35,7 +35,7 @@ from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_values, 
 # Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
 from .gegenbauer import gegenbauer  # noqa: F401
 from .polycore import Interval, Poly, nonpositivity_witness, parse_rat, rat, rat_str
-from .simplex import simplex_max
+from .simplex import _TOL as _SIMPLEX_TOL, simplex_max
 
 _ANGLE_TOL = 1e-12
 
@@ -175,8 +175,11 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
 
     Minimizes f(1) over f = sum_{k<=d} c_k G_k^{(n)} with c_0 = 1 and
     c_k >= 0, subject to f(t_i) <= 0 at grid+1 equally spaced points of
-    [-1, s]. Between grid points the float solution can exceed 0, so c_0
-    is lowered by the maximum of a float scan of f there before one exact
+    [-1, s]. The simplex sees only a working set of grid points: after
+    each solve, every point where f exceeds the simplex tolerance joins
+    it, and once none is left the optimum is that of the whole grid.
+    Between grid points the float solution can exceed 0, so c_0 is
+    lowered by the maximum of a float scan of f there before one exact
     check; the repair only ever weakens the bound. When that slack would
     reach c_0 = 1, no certificate is returned.
     """
@@ -195,23 +198,35 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     s_f = float(s_exact)
     ts = -1.0 + (s_f + 1.0) * (np.arange(grid + 1) / grid)
     ts[-1] = s_f
+    G = gegenbauer_values(n, d, ts)[1:]
 
     # Primal: min sum_k x_k  s.t.  sum_k (-G_k(t_i)) x_k >= 1, x >= 0.
     # Solved through its dual, max 1.y s.t. M^T y <= 1, y >= 0, whose
-    # tableau has only d rows. The objective row holds -f(t_i) under the
-    # grid columns and the primal solution under the dual slack columns.
-    res = simplex_max(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d))
-    if res.status == "unbounded":
-        raise LpInfeasible(
-            f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
-        )
+    # tableau has d rows and a column per working grid point; the primal
+    # solution sits under the dual slack columns of the objective row. The
+    # set grows strictly, and a dual unbounded on it is so on the grid.
+    work = np.zeros(grid + 1, dtype=bool)
+    work[np.linspace(0, grid, min(grid + 1, 4 * d + 2)).astype(int)] = True
+    while True:
+        cols = np.flatnonzero(work)
+        res = simplex_max(np.ones(cols.size), -G[:, cols], np.ones(d))
+        if res.status == "unbounded":
+            raise LpInfeasible(
+                f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
+            )
+        x = np.maximum(res.reduced_costs[cols.size :], 0.0)
+        f = 1.0 + x @ G
+        violated = (f > _SIMPLEX_TOL) & ~work
+        if not violated.any():
+            break
+        work |= violated
     float_bound = 1.0 + res.objective
-    float_coeffs = np.concatenate(([1.0], np.maximum(res.reduced_costs[grid + 1 :], 0.0)))
+    float_coeffs = np.concatenate(([1.0], x))
 
     # c_1..c_d rounded once to 2^-32 (exact floats), then f scanned within one
-    # grid step of each local maximum of the grid values f(t_i) = -reduced_costs[i].
+    # grid step of each local maximum of the grid values f(t_i).
     rounded = np.round(float_coeffs * 2**32) / 2**32
-    up = np.diff(res.reduced_costs[: grid + 1]) < 0
+    up = np.diff(f) > 0
     peaks = ts[np.concatenate(([True], up)) & np.concatenate((~up, [True]))]
     scan = np.clip((peaks[:, None] + np.linspace(-1, 1, 65) * (ts[1] - ts[0])).ravel(), -1.0, s_f)
     peak = float((rounded @ gegenbauer_values(n, d, scan)).max())

@@ -234,6 +234,10 @@ class DistanceMatrix:
         d = np.asarray(dists, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
+        bad = np.argwhere(~np.isfinite(d))
+        if bad.size:
+            named = ", ".join(f"{d[i, j]} at ({i}, {j})" for i, j in bad[:4])
+            raise ValueError(f"distances must be finite, got {named}{', ...' if len(bad) > 4 else ''}")
         if float(np.abs(d - d.T).max(initial=0.0)) > _SYM_TOL * max(1.0, float(np.abs(d).max())):
             raise ValueError("distance matrix must be symmetric")
         if np.abs(np.diag(d)).max(initial=0.0) > 0:

@@ -42,8 +42,10 @@ def parse_rat(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    except OverflowError:
-        raise ValueError(f"{s!r} is not a finite number") from None
+    except (OverflowError, ValueError):
+        if str(s).strip().lstrip("+-").lower() in ("nan", "inf", "infinity"):
+            raise ValueError(f"{s!r} is not a finite number") from None
+        raise
 
 
 def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:

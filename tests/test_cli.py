@@ -176,7 +176,7 @@ def test_sizes_rejected_up_front(argv, limit):
     pytest.param(["check", "midconvex", "FILE"], {"samples": [1, 2]},
                  '"samples" must be a list of [x, f(x)] pairs of numbers', id="midconvex-flat-samples"),
     pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [[1]]},
-                 '"poly" must be a list of numbers or rational strings', id="expand-nested-poly"),
+                 '"poly" must be a list of finite numbers or rational strings', id="expand-nested-poly"),
     pytest.param(["check", "psd", "FILE", "--tol", "nan"], {"rows": [[1, 2], [2, 1]]},
                  "tolerance must be finite and >= 0, got nan", id="psd-tol-nan"),
     pytest.param(["check", "psd", "FILE", "--tol", "inf"], {"rows": [[1, 2], [2, 1]]},
@@ -189,6 +189,12 @@ def test_sizes_rejected_up_front(argv, limit):
                  "power must be finite, got nan", id="preserver-power-nan"),
     pytest.param(["check", "preserver", "--power", "inf", "--dim", "3"], None,
                  "power must be finite, got inf", id="preserver-power-inf"),
+    pytest.param(["embed", "sphere", "FILE"], {"rows": [[0, float("inf")], [float("inf"), 0]]},
+                 "distances must be finite, got inf at (0, 1), inf at (1, 0)", id="sphere-inf"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [1, float("nan")]},
+                 '"poly" must be a list of finite numbers or rational strings', id="expand-nan"),
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "nan", "--degree", "4"], None,
+                 "'nan' is not a finite number", id="cos-nan"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     if payload is not None:
@@ -208,6 +214,7 @@ def case(code, label, argv, payload=None):
 # as the JSON extensions Python's json module reads.
 SC = ("bound", "spherical-code")
 NAN = float("nan")
+INF = float("inf")
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
 CONTRACT_CASES = [
     case(0, "gegenbauer-k", ["gegenbauer", "--dim", "3", "--k", "4"]),
@@ -215,7 +222,8 @@ CONTRACT_CASES = [
     case(2, "gegenbauer-dim-1", ["gegenbauer", "--dim", "1", "--k", "2"]),
     case(2, "gegenbauer-no-k", ["gegenbauer", "--dim", "3"]),
     case(2, "gegenbauer-dim-not-int", ["gegenbauer", "--dim", "x", "--k", "2"]),
-    case(2, "expand-inf", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [float("inf")]}),
+    case(2, "expand-inf", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [INF]}),
+    case(2, "expand-nan", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [NAN]}),
     case(2, "expand-zero-den", ["gegenbauer", "--dim", "4", "--expand", "FILE"], {"poly": ["1/0"]}),
     case(0, "spherical-code", [*SC, "--dim", "4", "--cos=-1/2", "--degree", "2", "--grid", "200"]),
     case(1, "infeasible", [*SC, "--dim", "4", "--cos", "1/2", "--degree", "1", "--grid", "100"]),
@@ -246,6 +254,7 @@ CONTRACT_CASES = [
     case(2, "euclidean-asymmetric", ["embed", "euclidean", "FILE"], {"rows": [[0, 1], [2, 0]]}),
     case(0, "sphere", ["embed", "sphere", "FILE"], {"rows": [[0, 1], [1, 0]]}),
     case(1, "sphere-diameter", ["embed", "sphere", "FILE"], {"rows": [[0, 3.5], [3.5, 0]]}),
+    case(2, "sphere-inf", ["embed", "sphere", "FILE"], {"rows": [[0, INF], [INF, 0]]}),
     case(2, "sphere-negative", ["embed", "sphere", "FILE"], {"rows": [[0, -1], [-1, 0]]}),
     case(0, "lattice", ["lattice", "info", "--name", "D4", "--json"]),
     case(2, "lattice-Z0", ["lattice", "info", "--name", "Z0"]),

@@ -19,7 +19,9 @@ from poscert.delsarte import (
     lp_bound,
     verify_certificate,
 )
+from poscert.gegenbauer import gegenbauer_values
 from poscert.polycore import Poly
+from poscert.simplex import simplex_max
 
 
 def test_known_certificates():
@@ -156,6 +158,58 @@ def test_lp_bound_high_degree_and_fine_grid(n, d, grid, value):
     assert res.certificate is not None, res.rejection
     assert abs(res.float_bound - value) <= 1e-4 * value
     assert abs(float(res.certificate.bound) - value) <= 1e-4 * value
+
+
+def full_grid_optimum(n, s, d, grid):
+    # the dual LP over every grid column at once, as one tableau
+    ts = -1.0 + (float(s) + 1.0) * (np.arange(grid + 1) / grid)
+    ts[-1] = float(s)
+    res = simplex_max(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d))
+    assert res.status == "optimal"
+    return 1.0 + res.objective
+
+
+@pytest.mark.parametrize("n, s, d, grid", [
+    pytest.param(8, Q(1, 2), 12, 60000, id="dim8-deg12-grid60000"),
+    pytest.param(12, Q(1, 2), 11, 100000, id="dim12-deg11-grid100000"),
+    pytest.param(24, Q(1, 2), 10, 50000, id="dim24-deg10-grid50000"),
+    pytest.param(3, Q(1, 2), 40, 2000, id="dim3-deg40-grid2000"),
+    pytest.param(5, Q(0), 8, 2000, id="dim5-deg8-cos0"),
+    pytest.param(3, Q(1, 2), 50, 150, id="dim3-deg50-whole-grid-at-start"),
+])
+def test_working_set_optimum_is_the_grid_optimum(n, s, d, grid):
+    value = full_grid_optimum(n, s, d, grid)
+    assert abs(lp_bound(n, s, d, grid).float_bound - value) <= 1e-8 * value
+
+
+@pytest.fixture
+def simplex_widths(monkeypatch):
+    widths = []
+
+    def counted(c, A, b):
+        widths.append(A.shape[1])
+        return simplex_max(c, A, b)
+
+    monkeypatch.setattr(delsarte, "simplex_max", counted)
+    return widths
+
+
+@pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (12, 11, 100000)])
+def test_working_set_stays_far_below_the_grid(simplex_widths, n, d, grid):
+    res = lp_bound(n, Q(1, 2), d, grid)
+    assert res.certificate is not None, res.rejection
+    # 4d + 2 evenly spaced columns to start, then strictly growing
+    assert simplex_widths[0] == 4 * d + 2
+    assert all(a < b for a, b in zip(simplex_widths, simplex_widths[1:]))
+    assert simplex_widths[-1] < (grid + 1) / 10
+
+
+def test_lp_bound_kissing_8_fine_grid():
+    # 240 is reached at degree 6, so degree 12 has many optimal vertices
+    res = lp_bound(8, Q(1, 2), 12, 60000)
+    assert abs(res.float_bound - 240) <= 1e-6 * 240
+    assert res.certificate is not None, res.rejection
+    assert abs(float(res.certificate.bound) - 240) <= 1e-6 * 240
 
 
 def test_lp_bound_monotone_in_degree():

@@ -269,6 +269,12 @@ def test_sphere_embed_examples():
         sphere_embed(DistanceMatrix([[0, 3.5], [3.5, 0]]))
 
 
+def test_distance_matrix_rejects_non_finite():
+    # checked before the symmetry test, where inf - inf would read as nan
+    with pytest.raises(ValueError, match=r"^distances must be finite, got inf at \(0, 1\), nan at \(1, 0\)$"):
+        DistanceMatrix([[0, math.inf], [math.nan, 0]])
+
+
 def test_sphere_embed_round_trip_random():
     rng = np.random.default_rng(5)
     for _ in range(20):

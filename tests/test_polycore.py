@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -36,6 +37,12 @@ def test_rational_serialization():
     q = Q(6, -8)
     assert q == Q(-3, 4) and q.denominator == 4
     assert parse_rat(rat_str(q)) == q
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), "nan", "Infinity"])
+def test_parse_rat_names_non_finite_input(value):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a finite number$"):
+        parse_rat(value)
 
 
 def test_rational_field_axioms():

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from poscert import simplex
+from poscert.simplex import simplex_max
+
+
+def test_optimum_and_duals():
+    # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18: optimum 36 at
+    # (2, 6), where the second and third rows bind with duals 3/2 and 1.
+    A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
+    b = np.array([4.0, 12.0, 18.0])
+    res = simplex_max([3.0, 5.0], A, b)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(36.0, abs=1e-12)
+    duals = res.reduced_costs[2:]
+    assert duals == pytest.approx([0.0, 1.5, 1.0], abs=1e-12)
+    # strong duality and dual feasibility
+    assert b @ duals == pytest.approx(res.objective, abs=1e-12)
+    assert (A.T @ duals >= np.array([3.0, 5.0]) - 1e-12).all()
+    assert (res.reduced_costs[:2] >= -1e-12).all()
+
+
+def test_unbounded():
+    # x may grow without limit along -x + y <= 1
+    res = simplex_max([1.0, 1.0], [[-1.0, 1.0]], [1.0])
+    assert res.status == "unbounded"
+    assert res.objective == np.inf
+
+
+# Chvatal's cycling example ("Linear Programming", 1983, ch. 3): every
+# pivot from the origin is degenerate, and Dantzig's rule with the
+# lowest-index tie-break returns to the starting basis after six pivots.
+CYCLING = ([10.0, -57.0, -9.0, -24.0],
+           [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
+           [0.0, 0.0, 1.0])
+
+
+def test_degenerate_run_switches_to_bland():
+    res = simplex_max(*CYCLING)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(1.0, abs=1e-12)
+    assert res.reduced_costs[4:] == pytest.approx([0.0, 18.0, 1.0], abs=1e-12)
+
+
+def test_without_bland_the_cycle_never_ends(monkeypatch):
+    # the same LP with the switch pushed out of reach hits the iteration
+    # limit, so the run above did reach the Bland switch
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1000)
+    with pytest.raises(RuntimeError, match="iteration limit"):
+        simplex_max(*CYCLING)
+
+
+def test_rejects_negative_b_and_bad_shapes():
+    with pytest.raises(ValueError, match="b >= 0"):
+        simplex_max([1.0], [[1.0]], [-1.0])
+    with pytest.raises(ValueError, match="inconsistent"):
+        simplex_max([1.0, 2.0], [[1.0]], [1.0])
