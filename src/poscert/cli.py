@@ -22,8 +22,8 @@ from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
 from .polycore import Poly, parse_rat, rat_str
 
 # Size limits; README ("CLI") has the timings behind them. `schur verify`
-# (Berkowitz, O(N^4) series products) runs 10 trials at degree 12 in 0.7 s
-# at N = 7 and 61 s at N = 17; u and v come from the 17 integers -8..8.
+# (Berkowitz, O(N^4) series products) runs 10 trials at N = 17 in 29 s at
+# degree 12 and 78 s at degree 24; u and v come from the integers -8..8.
 MAX_SCHUR_N = 17
 MAX_SCHUR_DEGREE = 24
 MAX_GEGENBAUER_K = 1700

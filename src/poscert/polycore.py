@@ -48,26 +48,37 @@ def parse_rat(s: str) -> Fraction:
         raise
 
 
+def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers a and the lcm d of the denominators, with xs = a / d."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    rows = [[rat(x) for x in row] for row in mat]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    """Exact determinant by fraction-free elimination (Bareiss 1968).
+
+    Rows are cleared of denominators once. Each step takes the first row
+    with a nonzero pivot and replaces the entries below by 2 x 2 minors
+    divided exactly by the previous pivot; the last pivot is the determinant.
+    """
+    rows, scale = [], 1
+    for row in mat:
+        if any(not isinstance(x, int) for x in row):
+            row, d = clear_denominators([rat(x) for x in row])
+            scale *= d
+        rows.append(list(row))
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"matrix must be square, got {len(rows)} rows of lengths {[len(r) for r in rows]}")
+    sign = prev = 1
+    while rows:
+        piv = next((i for i, r in enumerate(rows) if r[0]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+        top = rows.pop(piv)  # moving row piv up past piv rows flips the sign piv times
+        sign *= (-1) ** piv
+        rows = [[(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in rows]
+        prev = top[0]
+    return Fraction(sign * prev, scale)
 
 
 class Poly:
@@ -204,8 +215,7 @@ class Interval:
 
 def _primitive(cs: Sequence[Union[Fraction, int]]) -> tuple[int, ...]:
     """The primitive integer polynomial that is a positive multiple of cs."""
-    m = lcm(*(c.denominator for c in cs))
-    cs = [c.numerator * (m // c.denominator) for c in cs]
+    cs = clear_denominators(cs)[0]
     g = gcd(*cs)
     return tuple(c // g for c in cs)
 

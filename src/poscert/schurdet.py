@@ -12,20 +12,20 @@ Both sides are computed here independently and exactly, so each serves
 as an oracle for the other. The left is Berkowitz's division-free
 determinant (Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}), after
 one common denominator is cleared from the rational entries; it takes
-O(N^4) series products. The right enumerates the strictly decreasing
-exponent tuples over the rationals.
+O(N^4) series products. The right sums det(u_i^{n_j}) det(v_i^{n_j}),
+which is V(u) s_n(u) V(v) s_n(v), over the light tuples, in integers too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
-from math import lcm
+from itertools import accumulate, zip_longest
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .polycore import RationalLike, det_exact, rat
+from .polycore import RationalLike, clear_denominators, det_exact, rat
 
 
 def validate_strict_tuple(tpl: Sequence[int]) -> tuple[int, ...]:
@@ -36,25 +36,6 @@ def validate_strict_tuple(tpl: Sequence[int]) -> tuple[int, ...]:
     if any(a <= b for a, b in zip(t, t[1:])) or t[-1] < 0:
         raise ValueError(f"tuple must be strictly decreasing and >= 0: {t}")
     return t
-
-
-@dataclass(frozen=True)
-class StrictTuple:
-    """Strictly decreasing exponent tuple (n_N, ..., n_1), n_1 >= 0."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", validate_strict_tuple(self.entries))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    def to_partition(self) -> tuple[int, ...]:
-        """Subtract the staircase: lambda_j = n_j - (N - j) in decreasing order."""
-        n = len(self.entries)
-        return tuple(e - (n - 1 - j) for j, e in enumerate(self.entries))
 
 
 def vandermonde(xs: Sequence[RationalLike]) -> Fraction:
@@ -74,8 +55,6 @@ def schur_eval(tpl: Sequence[int], xs: Sequence[RationalLike]) -> Fraction:
     the staircase (N-1, ..., 1, 0) evaluates to 1 for any distinct x.
     The division is exact because the numerator is alternating in x.
     """
-    if isinstance(tpl, StrictTuple):
-        tpl = tpl.entries
     t = validate_strict_tuple(tpl)
     vals = [rat(x) for x in xs]
     if len(vals) != len(t):
@@ -186,6 +165,22 @@ def det_series_direct(
     return TruncatedSeries.make(cutoff, [Fraction(c, d**n) for c in det])
 
 
+def _light_tuples(support: Sequence[int], n: int, cutoff: int):
+    """(tuple, weight) of the increasing n-tuples from the sorted support, weight <= cutoff."""
+    pre = list(accumulate(support, initial=0))
+
+    def grow(start, left, tpl, weight):
+        if not left:
+            yield tpl, weight
+            return
+        for i in range(start, len(support) - left + 1):
+            if weight + pre[i + left] - pre[i] > cutoff:
+                return
+            yield from grow(i + 1, left - 1, tpl + (support[i],), weight + support[i])
+
+    return grow(0, n, (), 0)
+
+
 def det_series_formula(
     f_coeffs: Sequence[RationalLike],
     u: Sequence[RationalLike],
@@ -194,9 +189,11 @@ def det_series_formula(
 ) -> TruncatedSeries:
     """Right side: the Vandermonde-weighted Schur-polynomial expansion.
 
-    Strictly decreasing tuples are enumerated as combinations of distinct
-    exponents drawn from the support of f (tuples touching a zero
-    coefficient contribute nothing), bucketed by weight M <= cutoff.
+    V(u) s_n(u) is det(u_i^{n_j}), and the tuple's order cancels between
+    the u and v determinants. Tuples come from the support of f, a branch
+    stopping once its weight plus its lightest completion exceeds cutoff.
+    With u = a / d_u, v = b / d_v, f = g / d_f, the weight-M coefficient is
+    sum det(a_i^{n_j}) det(b_i^{n_j}) prod_j g_{n_j} / ((d_u d_v)^M d_f^N).
     """
     uu = [rat(x) for x in u]
     vv = [rat(x) for x in v]
@@ -207,18 +204,11 @@ def det_series_formula(
         raise ValueError("cutoff must be at least binom(N, 2)")
     if len(set(uu)) != n or len(set(vv)) != n:
         raise ValueError("u and v entries must be pairwise distinct")
-    fs = [rat(c) for c in f_coeffs]
-    support = [m for m in range(min(len(fs), cutoff + 1)) if fs[m] != 0]
-
-    out = [Fraction(0)] * (cutoff + 1)
-    for combo in combinations(support, n):
-        m = sum(combo)
-        if m > cutoff:
-            continue
-        tpl = tuple(sorted(combo, reverse=True))
-        prod_f = Fraction(1)
-        for e in tpl:
-            prod_f *= fs[e]
-        out[m] += schur_eval(tpl, uu) * schur_eval(tpl, vv) * prod_f
-    vuv = vandermonde(uu) * vandermonde(vv)
-    return TruncatedSeries.make(cutoff, [vuv * c for c in out])
+    g, df = clear_denominators([rat(c) for c in f_coeffs][: cutoff + 1])
+    (a, du), (b, dv) = clear_denominators(uu), clear_denominators(vv)
+    pows = [[[x**m for m in range(len(g))] for x in xs] for xs in (a, b)]
+    out = [0] * (cutoff + 1)
+    for tpl, m in _light_tuples([e for e, ge in enumerate(g) if ge], n, cutoff):
+        da, db = (det_exact([[row[e] for e in tpl] for row in p]) for p in pows)
+        out[m] += da.numerator * db.numerator * prod(g[e] for e in tpl)
+    return TruncatedSeries.make(cutoff, [Fraction(c, (du * dv) ** m * df**n) for m, c in enumerate(out)])

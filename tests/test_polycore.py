@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
@@ -112,6 +113,64 @@ def test_det_exact():
         b = [[rand_rat(rng, 9) for _ in range(n)] for _ in range(n)]
         ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert det_exact(ab) == det_exact(a) * det_exact(b)
+
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = Q(0)
+    for perm in permutations(range(n)):
+        term = Q(1)
+        for i, j in enumerate(perm):
+            term *= Q(mat[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def test_det_exact_matches_leibniz():
+    # int, Fraction and "p/q" entries, mixed within rows; singular matrices
+    # (a repeated or combined row) and zero leading pivots that force swaps
+    rng = random.Random(11)
+
+    def entry(kind):
+        if kind == "int":
+            return rng.randint(-9, 9)
+        q = rand_rat(rng, 9)
+        return q if kind == "frac" else f"{q.numerator}/{q.denominator}"
+
+    kinds = ("int", "frac", "str", "mixed")
+    for case in range(210):
+        n, kind = case % 7, kinds[case // 7 % 4]
+        mat = [[entry(rng.choice(kinds[:3]) if kind == "mixed" else kind) for _ in range(n)]
+               for _ in range(n)]
+        if case % 5 == 1 and n >= 2:  # singular: a row repeats a multiple of another
+            i, j = rng.sample(range(n), 2)
+            mat[i] = [Q(3, 2) * Q(x) for x in mat[j]]
+        if case % 5 == 2 and n >= 2:  # zero leading pivots
+            for i in range(n - 1):
+                mat[i][0] = 0
+            mat[0][1] = 0
+        want = _leibniz_det(mat)
+        got = det_exact(mat)
+        assert got == want and isinstance(got, Q), (mat, got, want)
+        if case % 5 == 1 and n >= 2:
+            assert got == 0
+
+
+@pytest.mark.parametrize(
+    "mat, shape",
+    [
+        ([[1, 2, 3], [4, 5, 6]], "2 rows of lengths [3, 3]"),
+        ([[1, 2], [3, 4], [5, 6]], "3 rows of lengths [2, 2, 2]"),
+        ([[1, 2], [3]], "2 rows of lengths [2, 1]"),
+        ([[1], [2, 3]], "2 rows of lengths [1, 2]"),
+        ([["1/2", 1, 0], [1, 2]], "2 rows of lengths [3, 2]"),
+        ([[]], "1 rows of lengths [0]"),
+    ],
+)
+def test_det_exact_rejects_non_square(mat, shape):
+    with pytest.raises(ValueError, match=re.escape(f"matrix must be square, got {shape}")):
+        det_exact(mat)
 
 
 def test_squarefree_part():

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from poscert import schurdet
 from poscert.schurdet import (
-    StrictTuple,
     TruncatedSeries,
     det_series_direct,
     det_series_formula,
@@ -17,20 +17,13 @@ from poscert.schurdet import (
 
 def test_strict_tuple_validation():
     assert validate_strict_tuple((3, 1, 0)) == (3, 1, 0)
-    for bad in ((), (1, 1), (0, 1), (2, -1)):
+    assert validate_strict_tuple([4, 2.0, 0]) == (4, 2, 0)
+    for bad in ((), (1, 1), (0, 1), (2, -1), (3, 1, 1), (5, 2, 3)):
         with pytest.raises(ValueError):
             validate_strict_tuple(bad)
-        with pytest.raises(ValueError):
-            StrictTuple(bad)
-
-
-def test_strict_tuple_weight_and_partition():
-    t = StrictTuple((4, 2, 0))
-    assert t.weight == 6
-    assert t.to_partition() == (2, 1, 0)
-    assert StrictTuple((2, 1, 0)).to_partition() == (0, 0, 0)
-    # the wrapper is accepted anywhere a raw tuple is
-    assert schur_eval(StrictTuple((2, 0)), [1, 2]) == 3
+        if bad:
+            with pytest.raises(ValueError):
+                schur_eval(bad, range(1, len(bad) + 1))
 
 
 def test_schur_staircase_is_one():
@@ -222,3 +215,71 @@ def test_n_beyond_support_of_f_vanishes():
         u, v = list(range(1, n + 1)), list(range(-n, 0))
         assert det_series_direct(fc, u, v, n * (n - 1) // 2 + 6).is_zero
     assert not det_series_direct(fc, [1, 2, 3], [-3, -2, -1], 9).is_zero
+
+
+def _formula_by_combinations(fc, u, v, cutoff):
+    # the expansion as written: every N-subset of supp f, kept when light,
+    # s_n(u) s_n(v) prod f_{n_j} summed per weight, then times V(u) V(v)
+    fs = [Q(c) for c in fc]
+    support = [m for m in range(min(len(fs), cutoff + 1)) if fs[m] != 0]
+    out = [Q(0)] * (cutoff + 1)
+    for combo in combinations(support, len(u)):
+        if sum(combo) <= cutoff:
+            tpl = combo[::-1]
+            term = schur_eval(tpl, u) * schur_eval(tpl, v)
+            for e in tpl:
+                term *= fs[e]
+            out[sum(combo)] += term
+    vuv = vandermonde(u) * vandermonde(v)
+    return TruncatedSeries.make(cutoff, [vuv * c for c in out])
+
+
+def test_formula_matches_combination_reference():
+    rng = random.Random(8)
+    pool_u = sorted({Q(p, q) for p in range(-9, 10) for q in (1, 2, 3, 7)})
+    pool_v = sorted({Q(p, q) for p in range(-9, 10) for q in (1, 4, 5)})
+    for n in range(1, 8):
+        for extra in range(0, 11):
+            cut = n * (n - 1) // 2 + extra
+            u, v = rng.sample(pool_u, n), rng.sample(pool_v, n)
+            fc = [rng.choice((0, Q(rng.randint(-5, 5), rng.randint(1, 6))))
+                  for _ in range(min(cut + 2, n + 7))]
+            got = det_series_formula(fc, u, v, cut)
+            assert got == _formula_by_combinations(fc, u, v, cut), (n, cut)
+            if n <= 4:
+                assert got == det_series_direct(fc, u, v, cut)
+
+
+def _light_subset_count(exponents, n, cutoff):
+    # count[k][w]: k-subsets of the exponents seen so far with weight w
+    count = [[0] * (cutoff + 1) for _ in range(n + 1)]
+    count[0][0] = 1
+    for e in exponents:
+        for k in range(n, 0, -1):
+            for w in range(cutoff, e - 1, -1):
+                count[k][w] += count[k - 1][w - e]
+    return sum(count[n])
+
+
+def test_formula_takes_two_determinants_per_light_tuple(monkeypatch):
+    # N = 12 with a dense degree-24 f, as `schur verify --N 12 --degree 24`:
+    # only the tuples of weight <= cutoff cost determinants
+    calls, det_exact = [], schurdet.det_exact
+
+    def counting(mat):
+        calls.append(len(mat))
+        return det_exact(mat)
+
+    monkeypatch.setattr(schurdet, "det_exact", counting)
+    rng = random.Random(12)
+    n, cut = 12, 12 * 11 // 2 + 6
+    u, v = rng.sample(range(-8, 9), n), rng.sample(range(-8, 9), n)
+    fc = [rng.choice((-2, -1, 1, 2)) for _ in range(25)]
+    det_series_formula(fc, u, v, cut)
+    light = _light_subset_count(range(25), n, cut)
+    assert light == 1 + 1 + 2 + 3 + 5 + 7 + 11  # partitions of 0..6, the weight above C(12, 2)
+    assert calls == [n] * (2 * light)
+    calls.clear()
+    fc[3] = fc[10] = 0
+    det_series_formula(fc, u, v, cut)
+    assert len(calls) == 2 * _light_subset_count([m for m in range(25) if fc[m]], n, cut)
