@@ -5,11 +5,11 @@ bases): A1-A3, D4, D5, E6-E8 through their root-system Cartan matrices,
 E8 additionally through the integer/half-integer coordinate description,
 Z^k, and the Leech lattice built by lifting the extended binary Golay
 code through the standard mod-2 / mod-4 congruence conditions. Short
-vectors are enumerated depth-first under a quadratic-form bound
-(Fincke--Pohst style): the Cholesky-type completion is computed exactly
-over the rationals, a float copy with conservative slack drives the
-pruning, and every candidate is re-verified with exact integer
-arithmetic, so the returned set is exact.
+vectors are enumerated under a quadratic-form bound (Fincke--Pohst
+style), one level at a time over numpy blocks of search-tree nodes: the
+Cholesky-type completion is computed exactly over the rationals, a float
+copy with conservative slack drives the pruning, and every candidate is
+re-verified with exact integer arithmetic, so the returned set is exact.
 
 The Golay generator matrix is the standard [I | B] form with B the
 complement of the icosahedron adjacency (computed here exactly in
@@ -20,7 +20,6 @@ Q(sqrt 5) rather than hard-coded); its correctness is established by the
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,7 +319,9 @@ def _pair_reduce(basis: list[list[int]]) -> list[list[int]]:
 
     Repeatedly replaces b_i by b_i - round(<b_i,b_j>/<b_j,b_j>) b_j when
     that strictly shortens b_i; norms are integers bounded below, so the
-    sweep terminates. Enumeration preprocessing only, not a public API.
+    sweep terminates. Only the Leech basis goes through it: the LDL pivots
+    of the reduced basis (8.0 down to 0.004) set how many nodes the
+    enumeration visits, about 5.2 million for the 98,280 minimal pairs.
     """
     basis = [r[:] for r in basis]
 
@@ -390,74 +391,76 @@ def leech_lattice() -> Lattice:
 # ---------------------------------------------------------------------------
 # short-vector enumeration
 
-def _half_space_candidates(
-    d: list[float], u: list[list[float]], bound: float
-) -> list[tuple[int, ...]]:
-    """Depth-first search over the canonical half-space of {x : Q(x) <= bound}.
+# Most nodes one block of the enumeration stack holds.
+_BLOCK = 1 << 15
+
+
+def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> np.ndarray:
+    """Level-by-level search over the canonical half-space of {x : Q(x) <= bound}.
 
     Q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j-i-1] x_j)^2, levels running
-    from the last coordinate down. While every fixed coordinate above is
-    zero the range is clamped to x_i >= 0, so each +-pair is seen exactly
-    once and the zero vector never. Pruning is in floats with 1e-6 slack
-    on the budget and 1e-9 margins on each rounded coordinate range; the
-    caller re-verifies every candidate exactly.
+    from the last coordinate down. The stack holds blocks of up to _BLOCK
+    nodes at one level: their fixed coordinates, remaining budgets and
+    "every fixed coordinate is zero" flags; a block is expanded one level
+    in numpy. While the flag holds the range is clamped to x_i >= 0, so
+    each +-pair is seen exactly once and the zero vector never. Pruning is
+    in floats with 1e-6 slack on the budget and 1e-9 margins on each
+    rounded coordinate range; the caller re-verifies every candidate exactly.
     """
     n = len(d)
     slack = 1e-6
-    found: list[tuple[int, ...]] = []
-    x = [0] * n
+    found = [np.zeros((0, n), dtype=np.int64)]
+    stack = [(n - 1, np.zeros((1, n), dtype=np.int64), np.array([bound + slack]), np.array([True]))]
+    while stack:
+        i, x, budget, zero = stack.pop()
+        if i < 0:
+            found.append(x[~zero])
+            continue
+        c = x[:, i + 1:] @ u[i]
+        rad = np.sqrt(np.maximum(budget, 0.0) / d[i])
+        lo = np.ceil(-rad - c - 1e-9)
+        lo[zero & (lo < 0)] = 0
+        hi = np.floor(rad - c + 1e-9)
+        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(x)), count)
+        xi = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
+        t = budget[parent] - d[i] * (xi + c[parent]) ** 2
+        keep = t >= -slack
+        parent, t = parent[keep], t[keep]
+        x = x[parent]
+        x[:, i] = xi[keep]
+        zero = zero[parent] & (x[:, i] == 0)
+        for s in range(0, len(x), _BLOCK):
+            stack.append((i - 1, x[s:s + _BLOCK], t[s:s + _BLOCK], zero[s:s + _BLOCK]))
+    return np.concatenate(found)
 
-    def level(i: int, budget: float, zero_above: bool) -> None:
-        di = d[i]
-        c = sum(map(operator.mul, u[i], x[i + 1:]))
-        rad = math.sqrt(max(budget, 0.0) / di)
-        lo = math.ceil(-rad - c - 1e-9)
-        if zero_above and lo < 0:
-            lo = 0
-        hi = math.floor(rad - c + 1e-9)
-        if i == 0:
-            rest = x[1:]
-            for xi in range(lo, hi + 1):
-                if budget - di * (xi + c) ** 2 >= -slack and (xi or not zero_above):
-                    found.append((xi, *rest))
-            return
-        for xi in range(lo, hi + 1):
-            t = budget - di * (xi + c) ** 2
-            if t >= -slack:
-                x[i] = xi
-                level(i - 1, t, zero_above and xi == 0)
 
-    level(n - 1, bound + slack, True)
-    return found
+def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.ndarray, int]:
+    """One vector of each +-pair with v^T Gram v <= bound_sq, unsorted.
 
-
-def _short_vectors_with_norms(
-    lat: Lattice, bound_sq
-) -> tuple[list[tuple[int, ...]], list[Fraction]]:
-    bound = rat(bound_sq)
-    if bound <= 0:
-        return [], []
+    Returns the int64 coordinates, the int64 norms of the Gram matrix
+    scaled by ``scale`` to integers, and ``scale``.
+    """
     n = lat.rank
     # Scale the Gram matrix to integers so candidate norms are integers.
-    scale = 1
-    for row in lat.gram:
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for row in lat.gram for x in row))
+    bound = rat(bound_sq)
+    if bound <= 0:
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), scale
     gz = np.array([[int(x * scale) for x in row] for row in lat.gram], dtype=np.int64)
     bound_scaled = bound * scale
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 
     d_exact, u_exact = _ldl_exact([[x * scale for x in row] for row in lat.gram])
-    dd = [float(x) for x in d_exact]
-    uu = [[float(x) for x in row[i + 1:]] for i, row in enumerate(u_exact)]
+    dd = np.array([float(x) for x in d_exact])
+    uu = [np.array([float(x) for x in row[i + 1:]]) for i, row in enumerate(u_exact)]
 
     # int64 safety: |x_i| <= sqrt(bound/d_min) + 1 per coordinate.
-    max_coord = int(math.sqrt(float(bound_scaled) / min(dd))) + 2
+    max_coord = int(math.sqrt(float(bound_scaled) / dd.min())) + 2
     if n * n * max_coord * max_coord * int(np.abs(gz).max()) >= 2**62:
         raise OverflowError("enumeration bound too large for int64 verification")
 
-    cands = np.array(_half_space_candidates(dd, uu, float(bound_scaled)), dtype=np.int64)
-    cands = cands.reshape(-1, n)
+    cands = _half_space_candidates(dd, uu, float(bound_scaled))
     if cands.size:
         # exact int64-safety certificate for the norm verification below
         coord_max = int(np.abs(cands).max())
@@ -465,18 +468,7 @@ def _short_vectors_with_norms(
             raise OverflowError("candidate coordinates too large for int64 verification")
     norms = np.einsum("ij,jk,ik->i", cands, gz, cands)
     keep = (norms > 0) & (norms <= bound_int)
-    cands, norms = cands[keep], norms[keep]
-
-    vecs: list[tuple[int, ...]] = []
-    out_norms: list[Fraction] = []
-    for row, nrm in zip(cands.tolist(), norms.tolist()):
-        q = Fraction(int(nrm), scale)
-        vecs.append(tuple(row))
-        out_norms.append(q)
-        vecs.append(tuple(-x for x in row))
-        out_norms.append(q)
-    order = sorted(range(len(vecs)), key=lambda k: vecs[k])
-    return [vecs[k] for k in order], [out_norms[k] for k in order]
+    return cands[keep], norms[keep], scale
 
 
 def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
@@ -485,8 +477,10 @@ def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
     Coordinates are with respect to the lattice basis; each +- pair
     appears as two vectors; the list is canonically sorted.
     """
-    vecs, _ = _short_vectors_with_norms(lat, bound_sq)
-    return vecs
+    half, _, _ = _short_vectors_with_norms(lat, bound_sq)
+    vecs = np.concatenate([half, -half])
+    vecs = vecs[np.lexsort(vecs.T[::-1])]
+    return list(map(tuple, vecs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -514,9 +508,10 @@ def lattice_invariants(lat: Lattice) -> LatticeInvariants:
     """
     n = lat.rank
     start = min(lat.gram[i][i] for i in range(n))
-    _, norms = _short_vectors_with_norms(lat, start)
-    lam = min(norms)
-    kissing = sum(1 for q in norms if q == lam)
+    _, norms, scale = _short_vectors_with_norms(lat, start)
+    low = norms.min()
+    lam = Fraction(int(low), scale)
+    kissing = 2 * int((norms == low).sum())
     det = lat.covolume_sq
     density = (
         unit_ball_volume(n) * (float(lam) / 4.0) ** (n / 2) / math.sqrt(float(det))

@@ -119,6 +119,14 @@ def test_lattice_info_json():
     assert res.exit_code == 2
 
 
+def test_lattice_info_leech_json():
+    res = run(["lattice", "info", "--name", "Leech", "--json"])
+    assert res.exit_code == 0
+    assert res.payload["rank"] == 24
+    assert res.payload["lambda1_sq"] == "4"
+    assert res.payload["kissing"] == 196560
+
+
 def test_schur_verify():
     res = run(["schur", "verify", "--N", "3", "--degree", "6", "--seed", "0", "--trials", "4"])
     assert res.exit_code == 0 and res.payload["agree"]

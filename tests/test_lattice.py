@@ -1,9 +1,13 @@
 import itertools
+import json
 import math
+import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from poscert import lattice
 from poscert.lattice import (
     HAMMING_EXAMPLE_CODEWORDS,
     Lattice,
@@ -251,10 +255,11 @@ def test_e8_theta_series_shells(make):
     # theta_E8 = E_4: 240 sigma_3(m) vectors of norm 2m
     lat = make()
     cumulative = 0
-    for m in range(1, 6):
+    for m in range(1, 7):
         cumulative += 240 * sum(d**3 for d in range(1, m + 1) if m % d == 0)
         assert len(short_vectors(lat, 2 * m)) == cumulative, (lat.name, 2 * m)
-    assert cumulative == 56880
+    # norm 12 has more half-pairs than one enumeration block holds
+    assert cumulative == 117360 and cumulative // 2 > lattice._BLOCK
 
 
 def test_z12_theta_series_shells():
@@ -263,3 +268,95 @@ def test_z12_theta_series_shells():
     for bound, want in ((4, 9992), (5, 35864)):
         assert sum(r[1 : bound + 1]) == want
         assert len(short_vectors(lat, bound)) == want
+
+
+def exact_inverse(gram):
+    """Gauss-Jordan inverse over the rationals."""
+    n = len(gram)
+    a = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(gram)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def box_radii(gram, bound):
+    """Half-widths of a box holding every x with x^T G x <= bound.
+
+    By Cauchy-Schwarz in the G-inner product, x^T G x <= bound forces
+    x_i^2 <= bound * (G^-1)_ii.
+    """
+    inv = exact_inverse(gram)
+    return [math.isqrt(math.floor(bound * inv[i][i])) for i in range(len(gram))]
+
+
+def brute_force_vectors(gram, bound):
+    """Sorted nonzero x with x^T G x <= bound, and their least norm (None if there are none)."""
+    n = len(gram)
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in box_radii(gram, bound)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    gz = np.array([[int(x * den) for x in row] for row in gram], dtype=np.int64)
+    norms = np.einsum("ij,jk,ik->i", pts, gz, pts)
+    hit = (norms > 0) & (norms * bound.denominator <= bound.numerator * den)
+    least = Q(int(norms[hit].min()), den) if hit.any() else None
+    return sorted(map(tuple, pts[hit].tolist())), least
+
+
+def skewed_gram(rng, n):
+    """B B^T / den for a lower-triangular B with off-diagonal entries up to +-6."""
+    b = [[rng.randint(1, 3) if i == j else rng.randint(-6, 6) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    den = rng.randint(1, 6)
+    return tuple(
+        tuple(Q(sum(b[i][k] * b[j][k] for k in range(n)), den) for j in range(n)) for i in range(n)
+    )
+
+
+def test_short_vectors_complete_against_box_search():
+    # 40 skewed bases of each rank 1-5; a bound whose search box would pass
+    # 100,000 points is halved until it fits, which keeps the suite fast
+    rng = random.Random(2024)
+    nonempty = 0
+    for n in [1, 2, 3, 4, 5] * 40:
+        gram = skewed_gram(rng, n)
+        bound = Q(rng.randint(1, 40), rng.randint(1, 4))
+        while math.prod(2 * r + 1 for r in box_radii(gram, bound)) > 100_000:
+            bound /= 2
+        lat = Lattice("skewed", n, gram)
+        want, lam = brute_force_vectors(gram, bound)
+        assert short_vectors(lat, bound) == want, (gram, bound)
+        if lam is not None:
+            nonempty += 1
+            below = lam - Q(1, 1000 * lam.denominator)
+            assert short_vectors(lat, below) == [], (gram, below)
+            assert short_vectors(lat, lam) == brute_force_vectors(gram, lam)[0], (gram, lam)
+    assert nonempty >= 150
+
+
+def test_short_vectors_are_python_ints():
+    vecs = short_vectors(standard_lattice("E8"), 2)
+    assert all(type(x) is int for v in vecs for x in v)
+    assert len(json.loads(json.dumps(vecs))) == 240
+
+
+def test_int64_guard_rejects_large_bound_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", never)
+    with pytest.raises(OverflowError, match="enumeration bound"):
+        short_vectors(standard_lattice("Z2"), 2**61)
+
+
+def test_int64_guard_checks_candidate_coordinates():
+    # Q(x) = (x0 + 2^16 x1)^2 + x1^2: both LDL pivots are 1, so the bound
+    # guard passes, but x0 reaches 2^17 and the exact coordinate check fires
+    k = 2**16
+    lat = Lattice("skewed", 2, ((Q(1), Q(k)), (Q(k), Q(k * k + 1))))
+    with pytest.raises(OverflowError, match="candidate coordinates"):
+        short_vectors(lat, 4)
