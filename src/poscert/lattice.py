@@ -6,9 +6,9 @@ E8 additionally through the integer/half-integer coordinate description,
 Z^k, and the Leech lattice built by lifting the extended binary Golay
 code through the standard mod-2 / mod-4 congruence conditions. Short
 vectors are enumerated under a quadratic-form bound (Fincke--Pohst
-style), one level at a time over numpy blocks of search-tree nodes: the
-Cholesky-type completion is computed exactly over the rationals, a float
-copy with conservative slack drives the pruning, and every candidate is
+style), one level at a time over numpy blocks of search-tree nodes: one
+fraction-free elimination per lattice gives the exact quadratic completion,
+a float copy with conservative slack drives the pruning, and every candidate is
 re-verified with exact integer arithmetic, so the returned set is exact.
 
 The Golay generator matrix is the standard [I | B] form with B the
@@ -21,40 +21,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .polycore import det_exact, rat, rat_str
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-def _ldl_exact(gram: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact quadratic completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
-
-    Raises if a pivot is nonpositive, which doubles as an exact positive
-    definiteness test (equivalent to all leading principal minors > 0).
-    """
-    n = len(gram)
-    q = [[rat(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] <= 0:
-            raise ValueError(f"Gram matrix is not positive definite (pivot {i})")
-        for j in range(i + 1, n):
-            u[i][j] = q[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                q[j][k] -= q[i][j] * q[i][k] / d[i]
-                q[k][j] = q[j][k]
-    return d, u
-
+from .polycore import bareiss_steps, clear_denominators, rat, rat_str
 
 # ---------------------------------------------------------------------------
 # lattices
@@ -68,6 +43,11 @@ class Lattice:
     basis vectors are basis_rows / sqrt(basis_scale_sq). This keeps
     half-integer (E8) and 1/sqrt(8)-scaled (Leech) bases exactly
     representable.
+
+    ``_pivot_rows`` are the Bareiss pivot rows of the integer Gram matrix
+    gram * _scale: lead_i = row_i[0] is its leading minor of order i + 1, and
+    its quadratic form is sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with
+    d_i = lead_i / lead_{i-1} (lead_{-1} = 1) and u_ij = row_i[j - i] / lead_i.
     """
 
     name: str
@@ -75,28 +55,38 @@ class Lattice:
     gram: tuple[tuple[Fraction, ...], ...]
     basis_rows: Optional[tuple[tuple[Fraction, ...], ...]] = None
     basis_scale_sq: Fraction = Fraction(1)
+    _scale: int = field(init=False, repr=False, compare=False)
+    _pivot_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.rank
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
         g = tuple(tuple(rat(x) for x in row) for row in self.gram)
-        if len(g) != self.rank or any(len(row) != self.rank for row in g):
+        if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("Gram matrix shape does not match rank")
-        if any(g[i][j] != g[j][i] for i in range(self.rank) for j in range(self.rank)):
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
-        _ldl_exact(g)  # exact positive definiteness
+        flat, scale = clear_denominators([x for row in g for x in row])
+        # positive definite iff no step swaps rows and every lead is > 0
+        steps = bareiss_steps([flat[i * n:(i + 1) * n] for i in range(n)])
+        pivot_rows = tuple(tuple(top) for _, top in takewhile(lambda s: not s[0] and s[1][0] > 0, steps))
+        if len(pivot_rows) < n:
+            raise ValueError(f"Gram matrix is not positive definite (pivot {len(pivot_rows)})")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_pivot_rows", pivot_rows)
         object.__setattr__(self, "basis_scale_sq", rat(self.basis_scale_sq))
         if self.basis_rows is not None:
             rows = tuple(tuple(rat(x) for x in row) for row in self.basis_rows)
             object.__setattr__(self, "basis_rows", rows)
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    ip = sum(a * b for a, b in zip(rows[i], rows[j])) / self.basis_scale_sq
-                    if ip != g[i][j]:
-                        raise ValueError("basis rows do not reproduce the Gram matrix")
+            if any(sum(a * b for a, b in zip(rows[i], rows[j])) / self.basis_scale_sq != g[i][j]
+                   for i in range(n) for j in range(n)):
+                raise ValueError("basis rows do not reproduce the Gram matrix")
 
     @property
     def covolume_sq(self) -> Fraction:
-        return det_exact(self.gram)
+        return Fraction(self._pivot_rows[-1][0], self._scale**self.rank)
 
     def embed(self, coords: Sequence[Sequence[int]]) -> np.ndarray:
         """Map basis-coordinate vectors to floating ambient coordinates."""
@@ -159,8 +149,8 @@ def e8_coordinate_lattice() -> Lattice:
 
 
 # Largest k accepted in Z<k>. Building Z^k checks its basis exactly in
-# O(k^3) rational operations: `poscert lattice info` takes 2.6 s on Z64
-# and 19 s on Z128 (2-vCPU Xeon VM), and building Z256 alone takes 100 s.
+# O(k^3) rational operations: `poscert lattice info` takes 1.8 s on Z64
+# and 10 s on Z128 (2-vCPU Xeon VM), nearly all of it in that check.
 MAX_Z_RANK = 64
 
 
@@ -375,17 +365,18 @@ def leech_lattice() -> Lattice:
     if any(gram_scaled[i][j] % 8 for i in range(24) for j in range(24)):
         raise AssertionError("Leech Gram is not integral at scale 8")
     gram = [[Fraction(gram_scaled[i][j] // 8) for j in range(24)] for i in range(24)]
-    if det_exact(gram) != 1:
-        raise AssertionError("Leech construction is not unimodular")
     if any(gram[i][i] % 2 for i in range(24)):
         raise AssertionError("Leech construction is not even")
-    return Lattice(
+    lat = Lattice(
         "Leech",
         24,
         tuple(tuple(row) for row in gram),
         tuple(tuple(Fraction(x) for x in row) for row in basis),
         basis_scale_sq=Fraction(8),
     )
+    if lat.covolume_sq != 1:
+        raise AssertionError("Leech construction is not unimodular")
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +426,32 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> 
     return np.concatenate(found)
 
 
-def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.ndarray, int]:
+def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.ndarray]:
     """One vector of each +-pair with v^T Gram v <= bound_sq, unsorted.
 
-    Returns the int64 coordinates, the int64 norms of the Gram matrix
-    scaled by ``scale`` to integers, and ``scale``.
+    Returns the int64 coordinates and their int64 norms under the
+    integer Gram matrix gram * lat._scale.
     """
-    n = lat.rank
-    # Scale the Gram matrix to integers so candidate norms are integers.
-    scale = math.lcm(*(x.denominator for row in lat.gram for x in row))
+    n, scale = lat.rank, lat._scale
     bound = rat(bound_sq)
     if bound <= 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), scale
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
     gz = np.array([[int(x * scale) for x in row] for row in lat.gram], dtype=np.int64)
     bound_scaled = bound * scale
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 
-    d_exact, u_exact = _ldl_exact([[x * scale for x in row] for row in lat.gram])
-    dd = np.array([float(x) for x in d_exact])
-    uu = [np.array([float(x) for x in row[i + 1:]]) for i, row in enumerate(u_exact)]
+    leads = [1] + [row[0] for row in lat._pivot_rows]
+    dd = np.array([float(Fraction(leads[i + 1], leads[i])) for i in range(n)])
+    uu = [np.array([float(Fraction(x, row[0])) for x in row[1:]]) for row in lat._pivot_rows]
 
-    # int64 safety: |x_i| <= sqrt(bound/d_min) + 1 per coordinate.
-    max_coord = int(math.sqrt(float(bound_scaled) / dd.min())) + 2
-    if n * n * max_coord * max_coord * int(np.abs(gz).max()) >= 2**62:
-        raise OverflowError("enumeration bound too large for int64 verification")
+    # int64 safety: |x_i + sum_{j>i} u_ij x_j| <= sqrt(bound/d_i), so |x_i| <= X_i
+    # = sqrt(bound/d_i) + 1 + sum_{j>i} |u_ij| X_j, the 1 covering the float slack.
+    xmax = np.zeros(n)
+    for i in reversed(range(n)):
+        xmax[i] = math.sqrt(float(bound_scaled) / dd[i]) + 1 + np.abs(uu[i]) @ xmax[i + 1:]
+    if not xmax.max() < math.sqrt(2**62 / (n * n * int(np.abs(gz).max()))):  # a nan bound fails too
+        raise OverflowError(f"enumeration bound allows candidate coordinates up to {xmax.max():.0f}, "
+                            "too large for int64 verification")
 
     cands = _half_space_candidates(dd, uu, float(bound_scaled))
     if cands.size:
@@ -468,7 +461,7 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
             raise OverflowError("candidate coordinates too large for int64 verification")
     norms = np.einsum("ij,jk,ik->i", cands, gz, cands)
     keep = (norms > 0) & (norms <= bound_int)
-    return cands[keep], norms[keep], scale
+    return cands[keep], norms[keep]
 
 
 def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
@@ -477,7 +470,7 @@ def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
     Coordinates are with respect to the lattice basis; each +- pair
     appears as two vectors; the list is canonically sorted.
     """
-    half, _, _ = _short_vectors_with_norms(lat, bound_sq)
+    half, _ = _short_vectors_with_norms(lat, bound_sq)
     vecs = np.concatenate([half, -half])
     vecs = vecs[np.lexsort(vecs.T[::-1])]
     return list(map(tuple, vecs.tolist()))
@@ -508,9 +501,9 @@ def lattice_invariants(lat: Lattice) -> LatticeInvariants:
     """
     n = lat.rank
     start = min(lat.gram[i][i] for i in range(n))
-    _, norms, scale = _short_vectors_with_norms(lat, start)
+    _, norms = _short_vectors_with_norms(lat, start)
     low = norms.min()
-    lam = Fraction(int(low), scale)
+    lam = Fraction(int(low), lat._scale)
     kissing = 2 * int((norms == low).sum())
     det = lat.covolume_sq
     density = (

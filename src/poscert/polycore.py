@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -54,13 +54,25 @@ def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Exact determinant by fraction-free elimination (Bareiss 1968).
+def bareiss_steps(rows: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """Fraction-free elimination (Bareiss 1968) of a square integer matrix.
 
-    Rows are cleared of denominators once. Each step takes the first row
-    with a nonzero pivot and replaces the entries below by 2 x 2 minors
-    divided exactly by the previous pivot; the last pivot is the determinant.
+    Each step yields the index, among the rows left, of the first one with a
+    nonzero leading entry (the step's lead), and that row; the others become
+    their 2 x 2 minors with it, divided exactly by the previous lead. Stops
+    early when every leading entry left is zero.
     """
+    prev = 1
+    while rows and (piv := next((i for i, r in enumerate(rows) if r[0]), None)) is not None:
+        top = rows[piv]
+        yield piv, top
+        rows = [[(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
+                for k, r in enumerate(rows) if k != piv]
+        prev = top[0]
+
+
+def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Exact determinant: rows cleared of denominators once, then :func:`bareiss_steps`."""
     rows, scale = [], 1
     for row in mat:
         if any(not isinstance(x, int) for x in row):
@@ -69,16 +81,10 @@ def det_exact(mat: Sequence[Sequence[RationalLike]]) -> Fraction:
         rows.append(list(row))
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"matrix must be square, got {len(rows)} rows of lengths {[len(r) for r in rows]}")
-    sign = prev = 1
-    while rows:
-        piv = next((i for i, r in enumerate(rows) if r[0]), None)
-        if piv is None:
-            return Fraction(0)
-        top = rows.pop(piv)  # moving row piv up past piv rows flips the sign piv times
-        sign *= (-1) ** piv
-        rows = [[(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in rows]
-        prev = top[0]
-    return Fraction(sign * prev, scale)
+    sign, lead, steps = 1, 1, 0
+    for steps, (piv, top) in enumerate(bareiss_steps(rows), 1):
+        sign, lead = sign * (-1) ** piv, top[0]  # moving row piv up past piv rows flips the sign piv times
+    return Fraction(sign * lead, scale) if steps == len(rows) else Fraction(0)
 
 
 class Poly:

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from poscert import lattice
+from poscert import lattice, polycore
 from poscert.lattice import (
     HAMMING_EXAMPLE_CODEWORDS,
     Lattice,
@@ -354,9 +354,92 @@ def test_int64_guard_rejects_large_bound_before_enumerating(monkeypatch):
 
 
 def test_int64_guard_checks_candidate_coordinates():
-    # Q(x) = (x0 + 2^16 x1)^2 + x1^2: both LDL pivots are 1, so the bound
-    # guard passes, but x0 reaches 2^17 and the exact coordinate check fires
+    # Q(x) = (x0 + 2^16 x1)^2 + x1^2: both LDL pivots are 1, but x0 reaches
+    # 2^17; the coordinate bound the guard derives from u_01 = 2^16 sees it
     k = 2**16
     lat = Lattice("skewed", 2, ((Q(1), Q(k)), (Q(k), Q(k * k + 1))))
     with pytest.raises(OverflowError, match="candidate coordinates"):
         short_vectors(lat, 4)
+
+
+def test_int64_guard_bounds_skewed_coordinates_before_enumerating(monkeypatch):
+    # X_1 = sqrt(4) + 1 = 3 and X_0 = sqrt(4) + 1 + 2^16 X_1 = 196611
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", never)
+    k = 2**16
+    lat = Lattice("skewed", 2, ((Q(1), Q(k)), (Q(k), Q(k * k + 1))))
+    with pytest.raises(OverflowError, match="candidate coordinates up to 196611, too large"):
+        short_vectors(lat, 4)
+
+
+@pytest.mark.parametrize(
+    "rank, gram, basis, message",
+    [
+        (2, ((1, 0),), None, "shape does not match rank"),
+        (2, ((2, 1), (0, 2)), None, "must be symmetric"),
+        (2, ((0, 1), (1, 0)), None, r"not positive definite \(pivot 0\)"),  # Bareiss would swap rows
+        (2, ((1, 1), (1, 1)), None, r"not positive definite \(pivot 1\)"),  # singular PSD
+        (3, ((2, 1, 0), (1, 2, 2), (0, 2, 1)), None, r"not positive definite \(pivot 2\)"),  # det -5
+        (2, ((1, 0), (0, 2)), ((1, 0), (1, 1)), "basis rows do not reproduce the Gram matrix"),
+        (0, (), None, "rank must be >= 1"),
+    ],
+    ids=["shape", "asymmetric", "zero-lead", "singular", "third-pivot", "basis", "rank-0"],
+)
+def test_lattice_validation(rank, gram, basis, message):
+    with pytest.raises(ValueError, match=message):
+        Lattice("bad", rank, gram, basis)
+
+
+def ldl_reference(gram):
+    """The rational LDL completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, step by step."""
+    n = len(gram)
+    q = [list(row) for row in gram]
+    d, u = [], []
+    for i in range(n):
+        d.append(q[i][i])
+        u.append([q[i][j] / d[i] for j in range(i + 1, n)])
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                q[j][k] -= q[i][j] * q[i][k] / d[i]
+                q[k][j] = q[j][k]
+    return d, u
+
+
+def test_pivot_floats_and_covolume_match_rational_ldl(monkeypatch):
+    # random B B^T with rational B, so the Gram entries are not integers
+    seen = []
+
+    def record(d, u, bound):
+        seen.append((d, u))
+        return np.zeros((0, len(d)), dtype=np.int64)
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", record)
+    rng = random.Random(5)
+    for n in [1, 2, 3, 4, 5, 6] * 10:
+        b = [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        if polycore.det_exact(b) == 0:
+            continue
+        gram = tuple(tuple(sum(x * y for x, y in zip(bi, bj)) for bj in b) for bi in b)
+        lat = Lattice("rational", n, gram)
+        assert lat.covolume_sq == polycore.det_exact(gram)
+        assert short_vectors(lat, 1) == []
+        scale = math.lcm(*(x.denominator for row in gram for x in row))
+        d, u = ldl_reference([[x * scale for x in row] for row in gram])
+        got_d, got_u = seen.pop()
+        assert got_d.tolist() == [float(x) for x in d]
+        assert [row.tolist() for row in got_u] == [[float(x) for x in row] for row in u]
+
+
+def test_elimination_runs_once_per_lattice(monkeypatch):
+    lat = standard_lattice("E8")
+
+    def eliminate(*args):
+        raise AssertionError("exact elimination after construction")
+
+    monkeypatch.setattr(polycore, "bareiss_steps", eliminate)
+    monkeypatch.setattr(lattice, "bareiss_steps", eliminate)
+    assert len(short_vectors(lat, 2)) == 240
+    inv = lattice_invariants(lat)
+    assert (inv.kissing, inv.covolume_sq, inv.lambda1_sq) == (240, 1, 2)
