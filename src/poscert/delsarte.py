@@ -35,7 +35,7 @@ from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_values, 
 # Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
 from .gegenbauer import gegenbauer  # noqa: F401
 from .polycore import Interval, Poly, nonpositivity_witness, parse_rat, rat, rat_str
-from .simplex import _TOL as _SIMPLEX_TOL, simplex_max
+from .simplex import _TOL as _SIMPLEX_TOL, Tableau, simplex_max
 
 _ANGLE_TOL = 1e-12
 
@@ -175,7 +175,7 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
 
     Minimizes f(1) over f = sum_{k<=d} c_k G_k^{(n)} with c_0 = 1 and
     c_k >= 0, subject to f(t_i) <= 0 at grid+1 equally spaced points of
-    [-1, s]. The simplex sees only a working set of grid points: after
+    [-1, s]. One simplex tableau holds a working set of grid points: after
     each solve, every point where f exceeds the simplex tolerance joins
     it, and once none is left the optimum is that of the whole grid.
     Between grid points the float solution can exceed 0, so c_0 is
@@ -207,19 +207,20 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     # set grows strictly, and a dual unbounded on it is so on the grid.
     work = np.zeros(grid + 1, dtype=bool)
     work[np.linspace(0, grid, min(grid + 1, 4 * d + 2)).astype(int)] = True
+    tableau = Tableau(np.ones(int(work.sum())), -G[:, work], np.ones(d))
     while True:
-        cols = np.flatnonzero(work)
-        res = simplex_max(np.ones(cols.size), -G[:, cols], np.ones(d))
+        res = simplex_max(tableau)
         if res.status == "unbounded":
             raise LpInfeasible(
                 f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
             )
-        x = np.maximum(res.reduced_costs[cols.size :], 0.0)
+        x = np.maximum(res.reduced_costs[-d:], 0.0)
         f = 1.0 + x @ G
         violated = (f > _SIMPLEX_TOL) & ~work
         if not violated.any():
             break
         work |= violated
+        tableau.add_columns(np.ones(int(violated.sum())), -G[:, violated])
     float_bound = 1.0 + res.objective
     float_coeffs = np.concatenate(([1.0], x))
 

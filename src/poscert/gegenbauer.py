@@ -96,10 +96,11 @@ def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     ts = np.asarray(ts, dtype=float)
-    out = [np.ones_like(ts), ts]
+    out = np.empty((kmax + 1,) + ts.shape)
+    out[0], out[1:2] = 1.0, ts
     for k in range(2, kmax + 1):
-        out.append(((2 * k + n - 4) * ts * out[k - 1] - (k - 1) * out[k - 2]) / (k + n - 3))
-    return np.array(out[: kmax + 1])
+        out[k] = ((2 * k + n - 4) * ts * out[k - 1] - (k - 1) * out[k - 2]) / (k + n - 3)
+    return out
 
 
 def _binom_rational(alpha: Fraction, m: int) -> Fraction:

@@ -56,6 +56,7 @@ class Lattice:
     basis_rows: Optional[tuple[tuple[Fraction, ...], ...]] = None
     basis_scale_sq: Fraction = Fraction(1)
     _scale: int = field(init=False, repr=False, compare=False)
+    _gram_int: tuple[int, ...] = field(init=False, repr=False, compare=False)  # gram * _scale, row-major
     _pivot_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,6 +76,7 @@ class Lattice:
             raise ValueError(f"Gram matrix is not positive definite (pivot {len(pivot_rows)})")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_gram_int", tuple(flat))
         object.__setattr__(self, "_pivot_rows", pivot_rows)
         object.__setattr__(self, "basis_scale_sq", rat(self.basis_scale_sq))
         if self.basis_rows is not None:
@@ -436,7 +438,7 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
     bound = rat(bound_sq)
     if bound <= 0:
         return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    gz = np.array([[int(x * scale) for x in row] for row in lat.gram], dtype=np.int64)
+    gz = np.array(lat._gram_int, dtype=np.int64).reshape(n, n)  # OverflowError past int64
     bound_scaled = bound * scale
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 

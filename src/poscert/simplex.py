@@ -6,7 +6,10 @@ Dantzig's rule (most negative reduced cost) while the objective makes
 progress; after a run of degenerate pivots the solver switches to
 Bland's rule, which rules out cycling. Problem sizes here are tiny (a
 handful of rows, a few thousand columns), so a dense tableau is the
-right tool.
+right tool. One :class:`Tableau` lives across the rounds of a
+constraint-generation loop: columns added after a solve enter against
+the last basis, which stays primal feasible because b does not change,
+and the next solve resumes from it.
 """
 
 from __future__ import annotations
@@ -28,59 +31,80 @@ class SimplexResult:
     # structural columns, then the m slack columns, whose entries are the
     # dual values / shadow prices of a max problem.
     reduced_costs: np.ndarray
+    pivots: int  # made by this solve
+    bland: bool  # whether Bland's rule engaged in this solve
 
 
-def simplex_max(c, A, b) -> SimplexResult:
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-    if (b < 0).any():
-        raise ValueError("simplex_max requires b >= 0")
+class Tableau:
+    """Rows [B^-1 A | B^-1 | B^-1 b], then the objective row [y A - c | y | y b]
+    with y = c_B B^-1; the slack block starts as I, so it holds B^-1 and y."""
 
-    # Tableau rows: m constraint rows [A | I | b], then the objective row
-    # [-c | 0 | 0]. Basis starts at the slacks.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = np.arange(n, n + m)
+    def __init__(self, c, A, b):
+        c, A, b = (np.asarray(x, dtype=float) for x in (c, A, b))
+        m, n = A.shape
+        if b.shape != (m,) or c.shape != (n,):
+            raise ValueError("inconsistent LP dimensions")
+        if (b < 0).any():
+            raise ValueError("the simplex requires b >= 0")
+        self.m, self.n = m, n
+        self.T = np.zeros((m + 1, n + m + 1))
+        self.T[:m, :n], self.T[m, :n] = A, -c
+        self.T[:m, n:-1] = np.eye(m)
+        self.T[:m, -1] = b
+        self.basis = np.arange(n, n + m)
 
-    stall = 0
-    for _ in range(_MAX_ITER):
-        costs = T[m, : n + m]
-        if stall < _DEGENERATE_RUN:
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -_TOL:
-                break
-        else:
-            neg = np.nonzero(costs < -_TOL)[0]
-            if neg.size == 0:
-                break
-            enter = int(neg[0])  # Bland: lowest-index improving column
+    def add_columns(self, c, A) -> None:
+        """Append columns A with costs c as B^-1 a, with reduced cost y.a - c_j."""
+        c, A = np.asarray(c, dtype=float), np.asarray(A, dtype=float)
+        m, n = self.m, self.n
+        if c.ndim != 1 or A.shape != (m, c.size):
+            raise ValueError("inconsistent LP dimensions")
+        new = self.T[:, n : n + m] @ A
+        new[m] -= c
+        self.T = np.concatenate((self.T[:, :n], new, self.T[:, n:]), axis=1)
+        self.basis[self.basis >= n] += c.size
+        self.n += c.size
 
-        col = T[:m, enter]
-        pos = col > _TOL
-        if not pos.any():
-            return SimplexResult("unbounded", np.inf, T[m, : n + m].copy())
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + _TOL)[0]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+    def solve(self) -> SimplexResult:
+        """Pivot from the current basis until no reduced cost is negative."""
+        T, basis, m = self.T, self.basis, self.m
+        stall, pivots, bland = 0, 0, False
+        for _ in range(_MAX_ITER):
+            costs = T[m, :-1]
+            if stall < _DEGENERATE_RUN:
+                enter = int(np.argmin(costs))
+                if costs[enter] >= -_TOL:
+                    break
+            else:
+                bland = True
+                neg = np.nonzero(costs < -_TOL)[0]
+                if neg.size == 0:
+                    break
+                enter = int(neg[0])  # Bland: lowest-index improving column
 
-        before = T[m, -1]
-        piv = T[leave, enter]
-        T[leave] /= piv
-        colvals = T[:, enter].copy()
-        colvals[leave] = 0.0
-        T -= np.outer(colvals, T[leave])
-        basis[leave] = enter
-        stall = stall + 1 if T[m, -1] <= before + _TOL else 0
-    else:  # pragma: no cover - Bland's rule terminates
-        raise RuntimeError("simplex iteration limit exceeded")
+            col = T[:m, enter]
+            pos = col > _TOL
+            if not pos.any():
+                return SimplexResult("unbounded", np.inf, T[m, :-1].copy(), pivots, bland)
+            ratios = np.full(m, np.inf)
+            ratios[pos] = T[:m, -1][pos] / col[pos]
+            best = ratios.min()
+            ties = np.nonzero(ratios <= best + _TOL)[0]
+            leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
 
-    return SimplexResult("optimal", float(T[m, -1]), T[m, : n + m].copy())
+            before = T[m, -1]
+            piv = T[leave, enter]
+            T[leave] /= piv
+            colvals = T[:, enter].copy()
+            colvals[leave] = 0.0
+            T -= np.outer(colvals, T[leave])
+            basis[leave] = enter
+            pivots += 1
+            stall = stall + 1 if T[m, -1] <= before + _TOL else 0
+        else:  # pragma: no cover - Bland's rule terminates
+            raise RuntimeError("simplex iteration limit exceeded")
+
+        return SimplexResult("optimal", float(T[m, -1]), T[m, :-1].copy(), pivots, bland)
+
+
+simplex_max = Tableau.solve  # the name delsarte calls, so a tracer can wrap each solve

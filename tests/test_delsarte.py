@@ -21,7 +21,7 @@ from poscert.delsarte import (
 )
 from poscert.gegenbauer import gegenbauer_values
 from poscert.polycore import Poly
-from poscert.simplex import simplex_max
+from poscert.simplex import Tableau
 
 
 def test_known_certificates():
@@ -164,7 +164,7 @@ def full_grid_optimum(n, s, d, grid):
     # the dual LP over every grid column at once, as one tableau
     ts = -1.0 + (float(s) + 1.0) * (np.arange(grid + 1) / grid)
     ts[-1] = float(s)
-    res = simplex_max(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d))
+    res = Tableau(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d)).solve()
     assert res.status == "optimal"
     return 1.0 + res.objective
 
@@ -186,12 +186,37 @@ def test_working_set_optimum_is_the_grid_optimum(n, s, d, grid):
 def simplex_widths(monkeypatch):
     widths = []
 
-    def counted(c, A, b):
-        widths.append(A.shape[1])
-        return simplex_max(c, A, b)
+    def counted(tableau):
+        widths.append(tableau.n)
+        return Tableau.solve(tableau)
 
     monkeypatch.setattr(delsarte, "simplex_max", counted)
     return widths
+
+
+@pytest.fixture
+def warm_solves(monkeypatch):
+    # each solve of lp_bound: the costs and columns its tableau holds, and its result
+    solves = []
+
+    class Recorded(Tableau):
+        def __init__(self, c, A, b):
+            super().__init__(c, A, b)
+            self.columns = [(c, A)]
+
+        def add_columns(self, c, A):
+            super().add_columns(c, A)
+            self.columns.append((c, A))
+
+    def recorded(tableau):
+        res = Tableau.solve(tableau)
+        c, A = (np.concatenate(parts, axis=-1) for parts in zip(*tableau.columns))
+        solves.append((c, A, res))
+        return res
+
+    monkeypatch.setattr(delsarte, "Tableau", Recorded)
+    monkeypatch.setattr(delsarte, "simplex_max", recorded)
+    return solves
 
 
 @pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (12, 11, 100000)])
@@ -202,6 +227,15 @@ def test_working_set_stays_far_below_the_grid(simplex_widths, n, d, grid):
     assert simplex_widths[0] == 4 * d + 2
     assert all(a < b for a, b in zip(simplex_widths, simplex_widths[1:]))
     assert simplex_widths[-1] < (grid + 1) / 10
+
+
+@pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (12, 11, 100000)])
+def test_warm_solves_pivot_less_than_cold_ones(warm_solves, n, d, grid):
+    lp_bound(n, Q(1, 2), d, grid)
+    assert len(warm_solves) > 1
+    warm = sum(res.pivots for _, _, res in warm_solves)
+    cold = sum(Tableau(c, A, np.ones(d)).solve().pivots for c, A, _ in warm_solves)
+    assert warm < cold
 
 
 def test_lp_bound_kissing_8_fine_grid():

@@ -73,6 +73,22 @@ def test_float_values_match_exact_polynomials():
         assert np.abs(high).max() <= 1.0 + 1e-12
 
 
+def test_float_values_follow_the_recurrence_bit_for_bit():
+    # the row-by-row recurrence in its float operation order, one array per row
+    def reference(n, kmax, ts):
+        out = [np.ones_like(ts), ts]
+        for k in range(2, kmax + 1):
+            out.append(((2 * k + n - 4) * ts * out[k - 1] - (k - 1) * out[k - 2]) / (k + n - 3))
+        return np.array(out[: kmax + 1])
+
+    rng = np.random.default_rng(7)
+    for ts in (np.linspace(-1.0, 0.5, 1001), rng.uniform(-1.0, 1.0, (7, 9))):
+        for n, kmax in ((2, 0), (3, 1), (12, 11), (3, 40), (24, 16)):
+            vals = gegenbauer_values(n, kmax, ts)
+            assert vals.shape == (kmax + 1,) + ts.shape
+            assert np.array_equal(vals, reference(n, kmax, ts))
+
+
 def test_classical_families():
     # n=3 gives Legendre, n=2 Chebyshev (first kind)
     assert gegenbauer(3, 2) == Poly([Q(-1, 2), 0, Q(3, 2)])

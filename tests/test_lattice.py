@@ -353,6 +353,13 @@ def test_int64_guard_rejects_large_bound_before_enumerating(monkeypatch):
         short_vectors(standard_lattice("Z2"), 2**61)
 
 
+def test_gram_beyond_int64_raises_before_enumerating():
+    # the lattice builds; its integer Gram matrix does not fit int64
+    lat = Lattice("wide", 2, ((Q(2**70), Q(0)), (Q(0), Q(2**70))))
+    with pytest.raises(OverflowError):
+        short_vectors(lat, 2**70)
+
+
 def test_int64_guard_checks_candidate_coordinates():
     # Q(x) = (x0 + 2^16 x1)^2 + x1^2: both LDL pivots are 1, but x0 reaches
     # 2^17; the coordinate bound the guard derives from u_01 = 2^16 sees it

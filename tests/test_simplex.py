@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poscert import simplex
-from poscert.simplex import simplex_max
+from poscert.simplex import Tableau
 
 
 def test_optimum_and_duals():
@@ -10,7 +10,7 @@ def test_optimum_and_duals():
     # (2, 6), where the second and third rows bind with duals 3/2 and 1.
     A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
     b = np.array([4.0, 12.0, 18.0])
-    res = simplex_max([3.0, 5.0], A, b)
+    res = Tableau([3.0, 5.0], A, b).solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(36.0, abs=1e-12)
     duals = res.reduced_costs[2:]
@@ -23,7 +23,7 @@ def test_optimum_and_duals():
 
 def test_unbounded():
     # x may grow without limit along -x + y <= 1
-    res = simplex_max([1.0, 1.0], [[-1.0, 1.0]], [1.0])
+    res = Tableau([1.0, 1.0], [[-1.0, 1.0]], [1.0]).solve()
     assert res.status == "unbounded"
     assert res.objective == np.inf
 
@@ -37,7 +37,7 @@ CYCLING = ([10.0, -57.0, -9.0, -24.0],
 
 
 def test_degenerate_run_switches_to_bland():
-    res = simplex_max(*CYCLING)
+    res = Tableau(*CYCLING).solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-12)
     assert res.reduced_costs[4:] == pytest.approx([0.0, 18.0, 1.0], abs=1e-12)
@@ -49,11 +49,51 @@ def test_without_bland_the_cycle_never_ends(monkeypatch):
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
     monkeypatch.setattr(simplex, "_MAX_ITER", 1000)
     with pytest.raises(RuntimeError, match="iteration limit"):
-        simplex_max(*CYCLING)
+        Tableau(*CYCLING).solve()
 
 
 def test_rejects_negative_b_and_bad_shapes():
     with pytest.raises(ValueError, match="b >= 0"):
-        simplex_max([1.0], [[1.0]], [-1.0])
+        Tableau([1.0], [[1.0]], [-1.0])
     with pytest.raises(ValueError, match="inconsistent"):
-        simplex_max([1.0, 2.0], [[1.0]], [1.0])
+        Tableau([1.0, 2.0], [[1.0]], [1.0])
+
+
+LP_3X2 = ([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], [4.0, 12.0, 18.0])
+
+
+@pytest.mark.parametrize("lp, split", [(LP_3X2, 1), (CYCLING, 2)], ids=["3x2", "cycling"])
+def test_added_columns_resume_to_the_cold_optimum(lp, split):
+    c, A, b = (np.asarray(x, dtype=float) for x in lp)
+    cold = Tableau(c, A, b).solve()
+    tableau = Tableau(c[:split], A[:, :split], b)
+    assert tableau.solve().status == "optimal"
+    tableau.add_columns(c[split:], A[:, split:])
+    # the basic columns, renumbered past the new ones, still form I over a zero cost row
+    assert tableau.T[:, tableau.basis] == pytest.approx(np.eye(len(b) + 1, len(b)), abs=1e-12)
+    warm = tableau.solve()
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    # structural reduced costs in the original column order, then the duals
+    assert warm.reduced_costs == pytest.approx(cold.reduced_costs, abs=1e-12)
+
+
+def test_added_column_can_make_the_lp_unbounded():
+    # max x s.t. x <= 1, then y with cost 1 enters along x - y <= 1
+    tableau = Tableau([1.0], [[1.0]], [1.0])
+    assert tableau.solve().objective == pytest.approx(1.0, abs=1e-12)
+    tableau.add_columns([1.0], [[-1.0]])
+    res = tableau.solve()
+    assert res.status == "unbounded"
+    assert res.objective == np.inf
+
+
+def test_each_solve_reports_its_pivots_and_bland():
+    tableau = Tableau(*LP_3X2)
+    res = tableau.solve()
+    assert (res.pivots, res.bland) == (2, False)
+    res = tableau.solve()  # already optimal: nothing to do
+    assert (res.pivots, res.bland) == (0, False)
+    res = Tableau(*CYCLING).solve()
+    assert res.bland
+    assert res.pivots > simplex._DEGENERATE_RUN
