@@ -67,6 +67,8 @@ def _cmd_gegenbauer(args) -> CommandResult:
             args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
             lambda c: isinstance(c, (str, int)) or isinstance(c, float) and math.isfinite(c),
         ))
+        if (p.degree or 0) > MAX_GEGENBAUER_K:
+            raise ValueError(f"--expand polynomial degree must be at most {MAX_GEGENBAUER_K}, got {p.degree}")
         coeffs = to_gegenbauer_basis(args.dim, p)
         classical = to_jacobi_basis(args.dim, p)
         return CommandResult(0, {

@@ -201,6 +201,9 @@ def test_sizes_rejected_up_front(argv, limit):
                  "distances must be finite, got inf at (0, 1), inf at (1, 0)", id="sphere-inf"),
     pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [1, float("nan")]},
                  '"poly" must be a list of finite numbers or rational strings', id="expand-nan"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [1] * (MAX_GEGENBAUER_K + 2)},
+                 f"degree must be at most {MAX_GEGENBAUER_K}, got {MAX_GEGENBAUER_K + 1}",
+                 id="expand-degree-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "nan", "--degree", "4"], None,
                  "'nan' is not a finite number", id="cos-nan"),
 ])

@@ -192,6 +192,54 @@ def test_leech_construction_invariants():
     assert min(lat.gram[i][i] for i in range(24)) == 4
 
 
+def test_leech_basis_is_reduced():
+    lat = leech_lattice()
+    assert all(lat.gram[i][i] == 4 for i in range(24))
+    leads = [1] + [row[0] for row in lat._pivot_rows]
+    pivots = [Q(leads[i + 1], leads[i] * lat._scale) for i in range(24)]
+    assert min(pivots) >= Q(1, 4)
+
+
+def inverse_exact(b):
+    """B^-1 over Fraction by Gauss-Jordan elimination."""
+    n = len(b)
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def test_lll_is_unimodular_and_reduced():
+    rng = random.Random(14)
+    for n in [2, 3, 4, 5, 6, 7, 8] * 6:
+        b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        if polycore.det_exact(b) == 0:
+            continue
+        c = lattice._lll(b)
+        # C = U B with U integral and det U = +-1
+        binv = inverse_exact(b)
+        u = [[sum(x * y for x, y in zip(row, col)) for col in zip(*binv)] for row in c]
+        assert all(x.denominator == 1 for row in u for x in row)
+        assert abs(polycore.det_exact(u)) == 1
+        # exact Gram-Schmidt: |mu_ij| <= 0.51 and the Lovasz condition at 0.98
+        star, norms = [], []
+        for k, row in enumerate(c):
+            mu = [sum(x * y for x, y in zip(row, s)) / ns for s, ns in zip(star, norms)]
+            assert all(abs(m) <= Q(51, 100) for m in mu)
+            v = [Q(x) for x in row]
+            for m, s in zip(mu, star):
+                v = [x - m * y for x, y in zip(v, s)]
+            star.append(v)
+            norms.append(sum(x * x for x in v))
+            if k:
+                assert norms[k] >= (Q(98, 100) - mu[k - 1] ** 2) * norms[k - 1]
+
+
 def test_unit_ball_volumes():
     # the full classical nu_n row
     expected = {
@@ -391,8 +439,11 @@ def test_int64_guard_bounds_skewed_coordinates_before_enumerating(monkeypatch):
         (3, ((2, 1, 0), (1, 2, 2), (0, 2, 1)), None, r"not positive definite \(pivot 2\)"),  # det -5
         (2, ((1, 0), (0, 2)), ((1, 0), (1, 1)), "basis rows do not reproduce the Gram matrix"),
         (0, (), None, "rank must be >= 1"),
+        (2, ((1, 0), (0, 1)), ((1, 0),), r"basis rows must be 2 rows of equal length, got lengths \[2\]"),
+        (2, ((1, 0), (0, 1)), ((1, 0, 0), (0, 1)), r"must be 2 rows of equal length, got lengths \[3, 2\]"),
     ],
-    ids=["shape", "asymmetric", "zero-lead", "singular", "third-pivot", "basis", "rank-0"],
+    ids=["shape", "asymmetric", "zero-lead", "singular", "third-pivot", "basis", "rank-0",
+         "basis-too-few-rows", "basis-ragged"],
 )
 def test_lattice_validation(rank, gram, basis, message):
     with pytest.raises(ValueError, match=message):
