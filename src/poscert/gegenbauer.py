@@ -2,11 +2,11 @@
 
 The family interpolates the classical orthogonal systems on [-1, 1] with
 weight (1 - t^2)^{(n-3)/2}: Chebyshev (first kind) at n = 2, Legendre at
-n = 3, Chebyshev (second kind) at n = 4. Two independent constructions
-are provided -- the three-term recurrence and the generating-function
-expansion -- so each can check the other, plus exact basis conversion,
-normalized weight moments, the spherical-harmonic dimension count, and
-the one float evaluation of the family (:func:`gegenbauer_values`).
+n = 3, Chebyshev (second kind) at n = 4. The three-term recurrence, run
+over Python ints into one integer row and denominator per degree, and the
+generating-function expansion check each other; the exact basis changes
+use the integer rows. Also: normalized weight moments, the spherical
+harmonics' dimension count, and the one float evaluation (:func:`gegenbauer_values`).
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 import numpy as np
 
-from .polycore import Poly, Rational, rat
+from .polycore import Poly, Rational, clear_denominators, rat
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -45,29 +45,32 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be >= 2, got {n}")
 
 
-# One table per dimension n: G_0..G_k for the highest k requested so far.
-# A request past its end replaces the stored tuple by a longer one; no
-# tuple is mutated in place, so a reader never sees a partial table.
-_TABLES: dict[int, tuple[Poly, ...]] = {}
+# One table per dimension n: (Q_k, E_k) with G_k = Q_k / E_k, E_k > 0 and
+# gcd(Q_k, E_k) = 1, up to the highest k requested so far. A longer request
+# replaces the tuple, never mutates it, so no reader sees a partial table.
+_TABLES: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
 
 
-def _table(n: int, kmax: int) -> tuple[Poly, ...]:
-    """G_0..G_m^{(n)} for some m >= kmax, extending the table if needed."""
-    polys = _TABLES.get(n, ())
-    if len(polys) > kmax:
-        return polys
+def _table(n: int, kmax: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(Q_k, E_k) for k = 0..m, some m >= kmax, extending the table if needed."""
+    rows = _TABLES.get(n, ())
+    if len(rows) > kmax:
+        return rows
     # G_0 = 1, G_1 = t, then the three-term recurrence
-    #   G_k = ((2k+n-4) t G_{k-1} - (k-1) G_{k-2}) / (k+n-3),   k >= 2.
-    # The k+n-3 denominator only degenerates at (n, k) = (2, 1), which the
-    # explicit base case makes moot; the recurrence starts at k = 2.
-    t = Poly.identity()
-    out = list(polys) or [Poly.constant(1), t]
+    #   G_k = ((2k+n-4) t G_{k-1} - (k-1) G_{k-2}) / (k+n-3),   k >= 2,
+    # over the denominator lcm(E_{k-1}, E_{k-2}) (k+n-3), one gcd per row.
+    # k+n-3 only vanishes at (n, k) = (2, 1), before the recurrence starts.
+    out = list(rows) or [((1,), 1), ((0, 1), 1)]
     for k in range(len(out), kmax + 1):
-        num = (t * out[k - 1]).scale(2 * k + n - 4) - out[k - 2].scale(k - 1)
-        out.append(num.scale(Fraction(1, k + n - 3)))
-    polys = tuple(out)
-    _TABLES[n] = polys
-    return polys
+        (q1, e1), (q2, e2) = out[k - 1], out[k - 2]
+        e = lcm(e1, e2)
+        a, b = (2 * k + n - 4) * (e // e1), (k - 1) * (e // e2)
+        num = [0] + [a * c for c in q1]
+        num[:k - 1] = [x - b * c for x, c in zip(num, q2)]
+        g = gcd(e * (k + n - 3), *num)
+        out.append((tuple(c // g for c in num), e * (k + n - 3) // g))
+    _TABLES[n] = rows = tuple(out)
+    return rows
 
 
 def gegenbauer(n: int, k: int) -> Poly:
@@ -75,14 +78,16 @@ def gegenbauer(n: int, k: int) -> Poly:
     _check_dim(n)
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _table(n, k)[k]
+    q, e = _table(n, k)[k]
+    return Poly([Fraction(c, e) for c in q])
 
 
 def gegenbauer_family(n: int, kmax: int) -> GegenbauerFamily:
     _check_dim(n)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    return GegenbauerFamily(n, _table(n, kmax)[: kmax + 1])
+    rows = _table(n, kmax)[: kmax + 1]
+    return GegenbauerFamily(n, tuple(Poly([Fraction(c, e) for c in q]) for q, e in rows))
 
 
 def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
@@ -158,36 +163,39 @@ def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
     """Exact coefficients c with p = sum_k c_k G_k^{(n)}.
 
     Back-substitution on the degree-triangular change of basis: G_k has
-    degree exactly k, so the top monomial coefficient pins c_k and the
-    tail is peeled off degree by degree.
+    degree exactly k and the parity of k, so the top coefficient of the
+    remainder pins c_k and the tail is peeled off degree by degree. The even
+    and odd halves are kept apart, each as integers over one denominator.
     """
     _check_dim(n)
     if p.is_zero:
         return GegenbauerCoeffs(n, ())
-    d = p.degree
-    fam = _table(n, d)
-    out = [Fraction(0)] * (d + 1)
-    rem = list(p.coeffs) + [Fraction(0)] * (d + 1 - len(p.coeffs))
-    for k in range(d, -1, -1):
-        g = fam[k]
-        c = rem[k] / g.leading()
-        out[k] = c
-        if c:
-            for i, gc in enumerate(g.coeffs):
-                rem[i] -= c * gc
-    assert all(r == 0 for r in rem)
+    fam = _table(n, p.degree)
+    nums, den = clear_denominators(p.coeffs)
+    halves = [(nums[0::2], den), (nums[1::2], den)]
+    out = [Fraction(0)] * len(nums)
+    for k in reversed(range(len(nums))):
+        (q, e), (r, s) = fam[k], halves[k % 2]
+        top, lead = r.pop(), q[k]
+        if top:
+            out[k] = Fraction(top * e, s * lead)
+            g = gcd(top, lead)
+            a, b = lead // g, top // g
+            r = [x * a - b * c for x, c in zip(r, q[k % 2::2])]
+            g = gcd(s * a, *r)
+            halves[k % 2] = ([x // g for x in r], s * a // g)
     return GegenbauerCoeffs(n, tuple(out))
 
 
 def jacobi_normalization_factor(n: int, k: int) -> Fraction:
     """Value at t = 1 of the Jacobi-normalized degree-k Gegenbauer polynomial.
 
-    The classical kissing-number tables expand against P_k^{(a,a)} with
-    a = (n-3)/2, whose value at 1 is binom(k + a, k); dividing the
-    G_k(1) = 1 coefficients by this factor recovers the tabulated ones.
+    The classical kissing-number tables expand against P_k^{(a,a)} with a =
+    (n-3)/2, whose value at 1 is binom(k + a, k) = prod_{i<=k} (2i+n-3)/(2i);
+    dividing the G_k(1) = 1 coefficients by it recovers the tabulated ones.
     """
     _check_dim(n)
-    return _binom_rational(Fraction(2 * k + n - 3, 2), k)
+    return Fraction(prod(range(n - 1, 2 * k + n - 2, 2)), 2 ** k * factorial(k))
 
 
 def to_jacobi_basis(n: int, p: Poly) -> GegenbauerCoeffs:
@@ -204,13 +212,16 @@ def to_jacobi_basis(n: int, p: Poly) -> GegenbauerCoeffs:
 def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
     """Inverse of :func:`to_gegenbauer_basis`; trailing zeros extend no table."""
     _check_dim(n)
-    cs = [rat(c) for c in coeffs]
-    fam = _table(n, max((k for k, c in enumerate(cs) if c), default=0))
-    out = Poly()
-    for k, c in enumerate(cs):
-        if c:
-            out = out + fam[k].scale(c)
-    return out
+    terms = [(k, c) for k, c in enumerate(map(rat, coeffs)) if c]
+    kmax = terms[-1][0] if terms else 0
+    fam = _table(n, kmax)
+    den = lcm(*(c.denominator * fam[k][1] for k, c in terms))
+    out = [0] * (kmax + 1)
+    for k, c in terms:
+        q, e = fam[k]
+        m = c.numerator * (den // (c.denominator * e))
+        out[k % 2:k + 1:2] = [x + m * y for x, y in zip(out[k % 2::2], q[k % 2::2])]
+    return Poly([Fraction(x, den) for x in out])
 
 
 def dim_spherical_harmonics(n: int, k: int) -> int:

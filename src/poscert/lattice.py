@@ -161,9 +161,9 @@ def e8_coordinate_lattice() -> Lattice:
 
 
 # Largest k accepted in Z<k>. Building Z^k checks its basis exactly in
-# O(k^3) integer operations: Z64 builds in 0.04 s and Z128 in 0.15 s, and
-# `poscert lattice info` on Z64 takes 0.3-0.4 s (2-vCPU Xeon VM).
-MAX_Z_RANK = 64
+# O(k^3) integer operations: Z256 builds in 1.3-1.6 s, and `poscert lattice
+# info` on Z256 takes 1.8-2.1 s and 42 MB (2-vCPU Xeon VM).
+MAX_Z_RANK = 256
 
 
 def standard_lattice(name: str) -> Lattice:

@@ -283,13 +283,17 @@ def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
     return chain
 
 
-def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of the chain's squarefree head in (a, b); a, b may be roots."""
-    def changes(x: Fraction) -> int:
-        signs = [s for s in (_sign(q, x) for q in chain) if s]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction, memo: Optional[dict] = None) -> int:
+    """Distinct roots of the chain's squarefree head in (a, b); a, b may be roots.
 
-    return changes(a) - changes(b) - (_sign(chain[0], b) == 0)
+    ``memo`` keeps the sign changes and head sign of every point evaluated.
+    """
+    memo = {} if memo is None else memo
+    for x in {a, b}.difference(memo):
+        signs = [_sign(q, x) for q in chain]
+        nonzero = [s for s in signs if s]
+        memo[x] = sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t), signs[0]
+    return memo[a][0] - memo[b][0] - (memo[b][1] == 0)
 
 
 def nonpositivity_witness(
@@ -314,7 +318,7 @@ def nonpositivity_witness(
     phi = _sign(ip, hi)
     if phi > 0:
         return False, (hi, hi)
-    chain = sturm_chain(p)
+    chain, memo = sturm_chain(p), {}
     # Depth-first bisection, left half first, over an explicit stack so
     # that roots closer than 2^-1000 do not exhaust Python's frame limit.
     stack = [(lo, hi, plo, phi, 0)]
@@ -322,7 +326,7 @@ def nonpositivity_witness(
         a, b, pa, pb, depth = stack.pop()
         if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
             raise RuntimeError("sign certification did not converge")
-        k = count_roots_open(chain, a, b)
+        k = count_roots_open(chain, a, b, memo)
         m = (a + b) / 2
         pm = _sign(ip, m)
         if pm > 0:

@@ -8,6 +8,7 @@ from poscert.cli import (
     MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_PRESERVER_DIM, MAX_SCHUR_DEGREE,
     MAX_SCHUR_N, run,
 )
+from poscert.lattice import MAX_Z_RANK
 
 
 def write(tmp_path, name, payload):
@@ -157,8 +158,8 @@ def test_schur_verify():
                   "--grid", str(MAX_LP_ENTRIES // 5 + 1)],
                  f"--grid must be at most {MAX_LP_ENTRIES // 5} at --degree 4",
                  id="spherical-code-grid-above-limit"),
-    pytest.param(["lattice", "info", "--name", "Z128"], "between 1 and 64", id="lattice-Z128"),
-    pytest.param(["lattice", "info", "--name", "Z256", "--json"], "between 1 and 64", id="lattice-Z256"),
+    pytest.param(["lattice", "info", "--name", f"Z{MAX_Z_RANK + 1}", "--json"], f"between 1 and {MAX_Z_RANK}",
+                 id="lattice-Z-above-limit"),
 ])
 def test_sizes_rejected_up_front(argv, limit):
     res = run(argv)
@@ -269,6 +270,8 @@ CONTRACT_CASES = [
     case(2, "sphere-negative", ["embed", "sphere", "FILE"], {"rows": [[0, -1], [-1, 0]]}),
     case(0, "lattice", ["lattice", "info", "--name", "D4", "--json"]),
     case(2, "lattice-Z0", ["lattice", "info", "--name", "Z0"]),
+    case(0, "lattice-Z256", ["lattice", "info", "--name", "Z256"]),
+    case(2, "lattice-Z257", ["lattice", "info", "--name", "Z257"]),
     case(2, "lattice-unknown", ["lattice", "info", "--name", "Zork"]),
     case(0, "schur", ["schur", "verify", "--N", "3", "--degree", "4", "--trials", "2"]),
     case(2, "schur-N-0", ["schur", "verify", "--N", "0", "--degree", "4"]),

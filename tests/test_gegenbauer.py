@@ -113,10 +113,11 @@ def test_dimension_rejection():
 
 
 def test_generating_series_cross_check():
-    for n in (2, 3, 4, 7, 12):
-        series = gegenbauer_via_generating_series(n, 8)
+    # n = 2 takes the recurrence through k + n - 3 = 0 at k = 1
+    for n in (2, 3, 4, 7, 12, 24):
+        series = gegenbauer_via_generating_series(n, 60)
         assert series[0] == Poly([1])
-        for k in range(9):
+        for k in range(61):
             v = series[k](1)
             assert v != 0
             assert series[k].scale(1 / v) == gegenbauer(n, k)
@@ -143,6 +144,14 @@ def test_to_basis_round_trip_random():
         assert expand_gegenbauer(n, c.coeffs) == p
 
 
+def test_to_basis_round_trip_dyadic_degree_200():
+    # dense multiples of 2^-32, the coefficients lp_bound rounds to
+    rng = random.Random(200)
+    for n in (3, 24):
+        c = [Q(1)] + [Q(rng.randint(-2**32, 2**32), 2**32) for _ in range(200)]
+        assert list(to_gegenbauer_basis(n, expand_gegenbauer(n, c)).coeffs) == c
+
+
 def test_classical_coefficient_tables():
     from poscert.delsarte import known_certificate
 
@@ -163,6 +172,15 @@ def test_jacobi_normalization_factor():
     assert jacobi_normalization_factor(8, 0) == 1
     assert jacobi_normalization_factor(8, 1) == Q(7, 2)
     assert jacobi_normalization_factor(24, 1) == Q(23, 2)
+
+
+def test_jacobi_normalization_factor_is_binomial():
+    # binom(k + a, k) with a = (n-3)/2, term by term in Fractions
+    for n in (2, 3, 4, 8, 24):
+        a, binom = Q(n - 3, 2), Q(1)
+        for k in range(41):
+            assert jacobi_normalization_factor(n, k) == binom
+            binom = binom * (a + k + 1) / (k + 1)
 
 
 def test_spherical_harmonic_dimensions():

@@ -254,6 +254,24 @@ def test_certify_known_certificates():
         assert not certify_nonpositive(f, Interval(Q(-1), Q(3, 4)))
 
 
+def test_bisection_evaluates_each_chain_member_once_per_point(monkeypatch):
+    # paper-24 touches zero inside [-1, 1/2], so the bisection splits around
+    # its double roots; every midpoint is an end of two intervals and of
+    # their children, yet the chain is evaluated there only once
+    from poscert import polycore
+    from poscert.delsarte import known_certificate
+
+    f = known_certificate("paper-24").poly
+    members = set(sturm_chain(f))
+    calls = []
+    sign = polycore._sign
+    monkeypatch.setattr(polycore, "_sign", lambda cs, x: calls.append((tuple(cs), x)) or sign(cs, x))
+    assert nonpositivity_witness(f, Interval(Q(-1), Q(1, 2))) == (True, None)
+    pairs = [c for c in calls if c[0] in members]
+    assert len({x for _, x in pairs}) > 2
+    assert len(pairs) == len(set(pairs))
+
+
 def test_certify_touching_roots():
     t = Poly.identity()
     # -(t - 1/2)^2 touches zero inside the interval
