@@ -11,10 +11,9 @@ Modules:
     cli        command-line front end
 """
 
-from .polycore import Interval, Poly, Rational, certify_nonpositive, poly_eval, poly_mul
+from .polycore import Interval, Poly, Rational, certify_nonpositive
 from .gegenbauer import (
     GegenbauerCoeffs,
-    GegenbauerFamily,
     dim_spherical_harmonics,
     gegenbauer,
     gegenbauer_gram_check,

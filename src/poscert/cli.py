@@ -22,8 +22,8 @@ from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
 from .polycore import Poly, parse_rat, rat_str
 
 # Size limits; README ("CLI") has the timings behind them. `schur verify`
-# (Berkowitz, O(N^4) series products) runs 10 trials at N = 17 in 29 s at
-# degree 12 and 78 s at degree 24; u and v come from the integers -8..8.
+# (Berkowitz, O(N^4) series products) runs 10 trials at N = 17 in 50 s at
+# degree 12 and 143 s at degree 24; u and v come from the integers -8..8.
 MAX_SCHUR_N = 17
 MAX_SCHUR_DEGREE = 24
 MAX_GEGENBAUER_K = 1700
@@ -70,7 +70,7 @@ def _cmd_gegenbauer(args) -> CommandResult:
         if (p.degree or 0) > MAX_GEGENBAUER_K:
             raise ValueError(f"--expand polynomial degree must be at most {MAX_GEGENBAUER_K}, got {p.degree}")
         coeffs = to_gegenbauer_basis(args.dim, p)
-        classical = to_jacobi_basis(args.dim, p)
+        classical = to_jacobi_basis(coeffs)
         return CommandResult(0, {
             "dim": args.dim,
             "coeffs": [rat_str(c) for c in coeffs.coeffs],

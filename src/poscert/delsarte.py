@@ -130,11 +130,6 @@ class SphericalCode:
         if np.abs(norms - 1.0).max() > _ANGLE_TOL:
             raise ValueError("all code points must be unit vectors (tol 1e-12)")
 
-    @staticmethod
-    def from_array(points) -> "SphericalCode":
-        pts = np.asarray(points, dtype=float)
-        return SphericalCode(pts.shape[1], tuple(map(tuple, pts)))
-
     def __len__(self) -> int:
         return len(self.points)
 

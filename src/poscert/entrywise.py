@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,9 +37,8 @@ class SymMatrix:
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        upper = np.triu(a)
-        sym = upper + upper.T - np.diag(np.diag(a))
-        object.__setattr__(self, "entries", sym)
+        # mirror the strict upper triangle: doubling the diagonal could overflow
+        object.__setattr__(self, "entries", np.triu(a) + np.triu(a, 1).T)
         self.entries.setflags(write=False)
 
     @staticmethod
@@ -227,8 +227,8 @@ def moment_matrix(kind: str, measure: AtomicMeasure, size: int) -> SymMatrix:
 
 class DistanceMatrix:
     """Metric data on points x_0..x_n: symmetric, zero diagonal, positive
-    off-diagonal. The triangle inequality is only checked on demand --
-    embedding failure is the interesting signal for non-metric data."""
+    off-diagonal. The triangle inequality is not checked -- embedding
+    failure is the interesting signal for non-metric data."""
 
     def __init__(self, dists):
         d = np.asarray(dists, dtype=float)
@@ -251,14 +251,6 @@ class DistanceMatrix:
     @property
     def n_points(self) -> int:
         return self.dists.shape[0]
-
-    def check_triangle(self) -> bool:
-        d = self.dists
-        m = d.shape[0]
-        for k in range(m):
-            if (d > d[:, k][:, None] + d[k, :][None, :] + 1e-12).any():
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -371,11 +363,12 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
             break
     for i in range(len(xs)):
         for j in range(i, len(xs)):
-            g = math.sqrt(xs[i] * xs[j])
+            g = math.sqrt(xs[i]) * math.sqrt(xs[j])  # the product may overflow
             for k, xk in enumerate(xs):
                 if abs(xk - g) <= 1e-12 * max(1.0, g):
-                    lhs, rhs = fs[k] ** 2, fs[i] * fs[j]
-                    if lhs > rhs + 1e-12 * max(1.0, abs(rhs)):
+                    # exact on the floats' values: their squares may overflow
+                    lhs, rhs = Fraction(fs[k]) ** 2, Fraction(fs[i]) * Fraction(fs[j])
+                    if lhs > rhs + Fraction(1e-12) * max(1, abs(rhs)):
                         midconv = False
                         violation = violation or ("mult_midconvex", xs[i], xs[j], xk)
                     break

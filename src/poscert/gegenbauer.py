@@ -25,14 +25,6 @@ _UNIT_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GegenbauerFamily:
-    """G_0..G_kmax for one dimension, shareable read-only."""
-
-    dim: int
-    polys: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
 class GegenbauerCoeffs:
     """Coefficients c_k of an expansion sum_k c_k G_k^{(n)}."""
 
@@ -80,14 +72,6 @@ def gegenbauer(n: int, k: int) -> Poly:
         raise ValueError("k must be >= 0")
     q, e = _table(n, k)[k]
     return Poly([Fraction(c, e) for c in q])
-
-
-def gegenbauer_family(n: int, kmax: int) -> GegenbauerFamily:
-    _check_dim(n)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    rows = _table(n, kmax)[: kmax + 1]
-    return GegenbauerFamily(n, tuple(Poly([Fraction(c, e) for c in q]) for q, e in rows))
 
 
 def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
@@ -198,15 +182,10 @@ def jacobi_normalization_factor(n: int, k: int) -> Fraction:
     return Fraction(prod(range(n - 1, 2 * k + n - 2, 2)), 2 ** k * factorial(k))
 
 
-def to_jacobi_basis(n: int, p: Poly) -> GegenbauerCoeffs:
-    """Expansion coefficients in the classical Jacobi-style normalization."""
-    base = to_gegenbauer_basis(n, p)
-    return GegenbauerCoeffs(
-        n,
-        tuple(
-            c / jacobi_normalization_factor(n, k) for k, c in enumerate(base.coeffs)
-        ),
-    )
+def to_jacobi_basis(coeffs: GegenbauerCoeffs) -> GegenbauerCoeffs:
+    """An expansion from :func:`to_gegenbauer_basis`, rescaled to the classical Jacobi-style normalization."""
+    n = coeffs.dim
+    return GegenbauerCoeffs(n, tuple(c / jacobi_normalization_factor(n, k) for k, c in enumerate(coeffs.coeffs)))
 
 
 def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:

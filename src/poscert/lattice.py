@@ -223,9 +223,6 @@ class BinaryCode:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: int) -> bool:
-        return word in set(self.words)
-
     def word_tuple(self, word: int) -> tuple[int, ...]:
         return tuple((word >> i) & 1 for i in range(self.length))
 

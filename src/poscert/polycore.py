@@ -120,11 +120,6 @@ class Poly:
     def degree(self) -> Optional[int]:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact Horner evaluation."""
         x = rat(x)
@@ -159,10 +154,6 @@ class Poly:
                     out[i + j] += ai * bj
         return Poly(out)
 
-    def scale(self, c: RationalLike) -> "Poly":
-        c = rat(c)
-        return Poly([c * a for a in self.coeffs])
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
@@ -174,9 +165,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -193,16 +181,6 @@ class Poly:
     @staticmethod
     def from_strings(items: Sequence[str]) -> "Poly":
         return Poly([parse_rat(s) for s in items])
-
-
-# Functional aliases for the core operations: exact and total.
-
-def poly_eval(p: Poly, x: RationalLike) -> Fraction:
-    return p(x)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
 
 
 @dataclass(frozen=True)

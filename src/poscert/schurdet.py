@@ -67,7 +67,7 @@ def schur_eval(tpl: Sequence[int], xs: Sequence[RationalLike]) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Element of Q[t]/(t^{cutoff+1}); arithmetic truncates consistently."""
+    """Element of Q[t]/(t^{cutoff+1}), as its cutoff + 1 coefficients."""
 
     cutoff: int
     coeffs: tuple[Fraction, ...]
@@ -77,27 +77,6 @@ class TruncatedSeries:
         cs = [rat(c) for c in coeffs][: cutoff + 1]
         cs += [Fraction(0)] * (cutoff + 1 - len(cs))
         return TruncatedSeries(cutoff, tuple(cs))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.cutoff == other.cutoff
-        return TruncatedSeries(
-            self.cutoff, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.cutoff, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.cutoff == other.cutoff
-        c = self.cutoff
-        return TruncatedSeries(c, tuple(_mul_trunc(self.coeffs, other.coeffs, c)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def _mul_trunc(a: Sequence, b: Sequence, cutoff: int) -> list:

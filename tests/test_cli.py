@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -249,6 +250,7 @@ CONTRACT_CASES = [
     case(2, "kissing-unknown-cert", ["bound", "kissing", "--cert", "paper-9"]),
     case(0, "psd", ["check", "psd", "FILE"], {"rows": [[2, 1], [1, 2]]}),
     case(1, "not-psd", ["check", "psd", "FILE"], {"rows": [[1, 2], [2, 1]]}),
+    case(0, "psd-1e308-diagonal", ["check", "psd", "FILE"], {"rows": [[1e308, 0], [0, 1]]}),
     case(2, "psd-tol-negative", ["check", "psd", "FILE", "--tol", "-1"], {"rows": [[1, 2], [2, 1]]}),
     case(2, "psd-nan", ["check", "psd", "FILE"], {"rows": [[1, NAN], [NAN, 1]]}),
     case(2, "psd-not-square", ["check", "psd", "FILE"], {"rows": [[1, 2]]}),
@@ -257,7 +259,10 @@ CONTRACT_CASES = [
     case(2, "preserver-dim-1", ["check", "preserver", "--power", "0.5", "--dim", "1"]),
     case(2, "preserver-power-not-float", ["check", "preserver", "--power", "half", "--dim", "3"]),
     case(0, "midconvex", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 2], [4, 4]]}),
+    case(0, "midconvex-constant-1e200", ["check", "midconvex", "FILE"],
+         {"samples": [[1, 1e200], [2, 1e200], [4, 1e200]]}),
     case(1, "midconvex-decreasing", ["check", "midconvex", "FILE"], {"samples": [[1, 2], [2, 1]]}),
+    case(1, "midconvex-1e250", ["check", "midconvex", "FILE"], {"samples": [[1e150, 1], [1e200, 10], [1e250, 10]]}),
     case(2, "midconvex-x-0", ["check", "midconvex", "FILE"], {"samples": [[0, 1]]}),
     case(2, "midconvex-unsorted", ["check", "midconvex", "FILE"], {"samples": [[2, 1], [1, 2]]}),
     case(0, "euclidean", ["embed", "euclidean", "FILE"], {"rows": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
@@ -287,8 +292,10 @@ CONTRACT_CASES = [
 
 
 @pytest.mark.parametrize("argv, payload, code", CONTRACT_CASES)
+@pytest.mark.filterwarnings("error")
 def test_cli_contract(tmp_path, argv, payload, code):
-    # exit 0/1/2, a payload that is strict JSON, and a reason on 1 and 2
+    # exit 0/1/2, a payload that is strict JSON, a reason on 1 and 2, and
+    # no warning (numpy reports an overflow as a RuntimeWarning on stderr)
     if payload is not None:
         path = write(tmp_path, "in.json", payload)
         argv = [path if a == "FILE" else a for a in argv]
@@ -335,11 +342,24 @@ def test_missing_file_is_usage_error():
     assert res.exit_code == 2 and "reason" in res.payload
 
 
-def test_gegenbauer_expand(tmp_path):
+def test_gegenbauer_expand(tmp_path, monkeypatch):
+    # one back-substitution, whichever namespace it is reached through: the
+    # classical coefficients are rescaled from the same expansion
+    calls = []
+    original = cli.to_gegenbauer_basis
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "to_gegenbauer_basis", counted)
+    monkeypatch.setattr(importlib.import_module("poscert.gegenbauer"), "to_gegenbauer_basis", counted)
     poly = write(tmp_path, "p.json", {"poly": ["0", "0", "1"]})  # t^2
     res = run(["gegenbauer", "--dim", "3", "--expand", poly])
     assert res.exit_code == 0
-    # t^2 = 1/3 G_0 + 2/3 G_2 for the Legendre family
-    assert res.payload["coeffs"] == ["1/3", "0", "2/3"]
+    assert len(calls) == 1
+    # t^2 = 1/3 G_0 + 2/3 G_2 for the Legendre family, whose classical
+    # normalization is the same
+    assert res.payload == {"dim": 3, "coeffs": ["1/3", "0", "2/3"], "classical_coeffs": ["1/3", "0", "2/3"]}
     res = run(["gegenbauer", "--dim", "3", "--k", "2"])
     assert res.payload["poly"] == ["-1/2", "0", "3/2"]

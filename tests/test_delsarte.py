@@ -262,9 +262,14 @@ def test_lp_bound_deterministic():
     assert a.certificate.bound == b.certificate.bound
 
 
+def spherical_code(points):
+    pts = np.asarray(points, dtype=float)
+    return SphericalCode(pts.shape[1], tuple(map(tuple, pts)))
+
+
 def square_code():
     pts = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    return SphericalCode.from_array(pts)
+    return spherical_code(pts)
 
 
 def right_angle_certificate():
@@ -275,7 +280,7 @@ def right_angle_certificate():
 
 def test_code_upper_bound_trivial_pair():
     cert = verify_certificate(3, Q(-1), Poly([1, 1]))
-    code = SphericalCode.from_array(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
+    code = spherical_code(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
     assert code_upper_bound_check(code, cert)
 
 
@@ -292,7 +297,7 @@ def test_code_upper_bound_e8_equality():
     coords = short_vectors(lat, 2)
     assert len(coords) == 240
     pts = lat.embed(coords) / math.sqrt(2.0)
-    code = SphericalCode.from_array(pts)
+    code = spherical_code(pts)
     assert code.min_cosine <= 0.5 + 1e-12
     cert = known_certificate("paper-8")
     assert code_upper_bound_check(code, cert)
@@ -301,17 +306,17 @@ def test_code_upper_bound_e8_equality():
 
 def test_code_upper_bound_mismatches():
     cert = known_certificate("paper-8")
-    code3 = SphericalCode.from_array(np.eye(3))
+    code3 = spherical_code(np.eye(3))
     with pytest.raises(ValueError):
         code_upper_bound_check(code3, cert)
-    tight = SphericalCode.from_array(np.array([[1.0, 0], [0.9, math.sqrt(1 - 0.81)]]))
+    tight = spherical_code(np.array([[1.0, 0], [0.9, math.sqrt(1 - 0.81)]]))
     with pytest.raises(ValueError):
         code_upper_bound_check(tight, right_angle_certificate())
 
 
 def test_code_validation():
     with pytest.raises(ValueError):
-        SphericalCode.from_array(np.array([[1.0, 1.0]]))
+        spherical_code(np.array([[1.0, 1.0]]))
 
 
 def test_certificate_soundness_randomized():
@@ -335,7 +340,7 @@ def test_certificate_soundness_randomized():
             for cand in cands:
                 if not pts or (np.asarray(pts) @ cand).max() <= s + 1e-12:
                     pts.append(cand)
-        code = SphericalCode.from_array(np.array(pts))
+        code = spherical_code(np.array(pts))
         assert code_upper_bound_check(code, cert)
 
 

@@ -304,10 +304,8 @@ def test_distance_matrix_validation():
         DistanceMatrix([[1, 1], [1, 0]])
     with pytest.raises(ValueError):
         DistanceMatrix([[0, 0.0], [0.0, 0]])
-    d = DistanceMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert d.check_triangle()
-    bad = DistanceMatrix([[0, 3.0, 0.1], [3.0, 0, 0.1], [0.1, 0.1, 0]])
-    assert not bad.check_triangle()
+    # the triangle inequality is left to the embeddings
+    assert DistanceMatrix([[0, 3.0, 0.1], [3.0, 0, 0.1], [0.1, 0.1, 0]]).n_points == 3
 
 
 def test_vasudeva_exponential():
