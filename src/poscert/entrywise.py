@@ -149,11 +149,11 @@ def power_preserver_witness(
 
     For non-integer alpha < n-2 every matrix (1 + x_i x_j) with distinct
     positive x_i fails to stay psd under the entrywise alpha-power; the
-    search samples x over several scales. For alpha in Z>=0 or
-    alpha >= n-2 the power genuinely preserves psd-ness and the search
-    comes back empty. A witness is only reported when its negative
-    eigenvalue lies below 100 n eps times the largest eigenvalue, a
-    margin over the rounding error of ``eigvalsh``. Where the true
+    search samples x over several scales, skipping overflowed powers. For
+    alpha in Z>=0 or alpha >= n-2 the power preserves psd-ness (FitzGerald
+    and Horn) and no search is made. A witness is only reported when its
+    negative eigenvalue lies below 100 n eps times the largest eigenvalue,
+    a margin over the rounding error of ``eigvalsh``. Where the true
     negative eigenvalue is below double precision (for example n = 12,
     alpha = 9.5) the search finds nothing although a witness exists.
     """
@@ -163,16 +163,19 @@ def power_preserver_witness(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not math.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
+    if alpha >= n - 2 or (alpha >= 0 and alpha == int(alpha)):  # FitzGerald--Horn
+        return None
     gate = 100 * n * np.finfo(float).eps
     rng = np.random.default_rng(seed)
     scales = (1.0, 0.25, 0.05, 4.0, 0.01)
     for trial in range(trials):
         scale = scales[trial % len(scales)]
         x = np.sort(rng.uniform(0.2, 1.8, size=n)) * scale
-        if np.min(np.diff(x)) <= 1e-9 * scale:
-            continue
         a = 1.0 + np.outer(x, x)
-        powered = np.power(a, alpha)
+        with np.errstate(over="ignore"):
+            powered = np.power(a, alpha)
+        if np.min(np.diff(x)) <= 1e-9 * scale or not np.isfinite(powered).all():
+            continue
         vals = np.linalg.eigvalsh(powered)
         if vals[0] < -gate * vals[-1]:
             return PowerWitness(tuple(x), SymMatrix(n, a), float(vals[0]))

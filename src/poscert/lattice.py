@@ -404,8 +404,9 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 
     leads = [1] + [row[0] for row in lat._pivot_rows]
-    dd = np.array([float(Fraction(leads[i + 1], leads[i])) for i in range(n)])
-    uu = [np.array([float(Fraction(x, row[0])) for x in row[1:]]) for row in lat._pivot_rows]
+    # int / int rounds the exact quotient correctly, as float(Fraction(...)) does
+    dd = np.array([leads[i + 1] / leads[i] for i in range(n)])
+    uu = [np.array([x / row[0] for x in row[1:]]) for row in lat._pivot_rows]
 
     # int64 safety: |x_i + sum_{j>i} u_ij x_j| <= sqrt(bound/d_i), so |x_i| <= X_i
     # = sqrt(bound/d_i) + 1 + sum_{j>i} |u_ij| X_j, the 1 covering the float slack.
@@ -422,7 +423,8 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
         coord_max = int(np.abs(cands).max())
         if n * n * coord_max * coord_max * int(np.abs(gz).max()) >= 2**62:
             raise OverflowError("candidate coordinates too large for int64 verification")
-    norms = np.einsum("ij,jk,ik->i", cands, gz, cands)
+    # |(cands @ gz)_ik| <= n coord_max max|gz|, below the bound just checked
+    norms = np.einsum("ij,ij->i", cands @ gz, cands)
     keep = (norms > 0) & (norms <= bound_int)
     return cands[keep], norms[keep]
 
@@ -430,13 +432,18 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
 def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors with v^T Gram v <= bound_sq, exactly.
 
-    Coordinates are with respect to the lattice basis; each +- pair
-    appears as two vectors; the list is canonically sorted.
+    Coordinates are with respect to the lattice basis. The 2m vectors are
+    sorted lexicographically, first coordinate most significant, and
+    positions i and 2m - 1 - i hold negatives of each other.
     """
     half, _ = _short_vectors_with_norms(lat, bound_sq)
-    vecs = np.concatenate([half, -half])
-    vecs = vecs[np.lexsort(vecs.T[::-1])]
-    return list(map(tuple, vecs.tolist()))
+    # negation reverses the order and 0 is not in the set, so the list is L and
+    # then -L reversed, L holding each pair's member whose first nonzero entry is < 0
+    half *= -np.sign(half[np.arange(len(half)), (half != 0).argmax(1)])[:, None]
+    # sort keys in the narrowest signed type holding -max|x| - 1, hence +max|x|
+    keys = half.T[::-1].astype(np.min_scalar_type(-1 - int(np.abs(half).max(initial=0))))
+    low = half[np.lexsort(keys)]
+    return list(zip(*np.concatenate([low, -low[::-1]]).T.tolist()))
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,8 @@ CONTRACT_CASES = [
     case(2, "psd-not-square", ["check", "psd", "FILE"], {"rows": [[1, 2]]}),
     case(2, "psd-string", ["check", "psd", "FILE"], {"rows": [["a"]]}),
     case(0, "preserver", ["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "20"]),
+    case(0, "preserver-power-200", ["check", "preserver", "--power", "200", "--dim", "4"]),
+    case(0, "preserver-power-180.5-dim-190", ["check", "preserver", "--power", "180.5", "--dim", "190", "--trials", "20"]),
     case(2, "preserver-dim-1", ["check", "preserver", "--power", "0.5", "--dim", "1"]),
     case(2, "preserver-power-not-float", ["check", "preserver", "--power", "half", "--dim", "3"]),
     case(0, "midconvex", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 2], [4, 4]]}),

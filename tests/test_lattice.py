@@ -386,6 +386,53 @@ def test_short_vectors_complete_against_box_search():
     assert nonempty >= 150
 
 
+@pytest.mark.parametrize("make, bound", [
+    pytest.param(lambda: standard_lattice("E8"), 6, id="E8-6"),
+    pytest.param(e8_coordinate_lattice, 4, id="E8-coords-4"),
+    pytest.param(lambda: standard_lattice("D4"), 64, id="D4-64"),
+    pytest.param(lambda: standard_lattice("Z12"), 3, id="Z12-3"),
+])
+def test_short_vectors_canonical_order_on_large_shells(make, bound):
+    # lexicographic, and positions i and 2m - 1 - i are negatives of each other
+    sv = short_vectors(make(), bound)
+    assert len(sv) > 2000
+    assert sv == sorted(sv)
+    assert all(sv[i] == tuple(-x for x in sv[-1 - i]) for i in range(len(sv)))
+
+
+@pytest.mark.parametrize("r", [127, 128, 129, 32767, 32768, 32769])
+def test_short_vectors_order_where_coordinates_leave_int8_and_int16(r):
+    expected = [(x,) for x in range(-r, r + 1) if x]
+    assert short_vectors(standard_lattice("Z1"), r * r) == sorted(expected)
+
+
+@pytest.mark.parametrize("k", [126, 127, 128])
+def test_short_vectors_order_with_large_positive_trailing_coordinates(k):
+    # Q(x) = x0^2 + (x1 + k x0)^2 <= 2: the half with a negative first
+    # coordinate holds (-1, k - 1), (-1, k) and (-1, k + 1)
+    gram = ((Q(1 + k * k), Q(k)), (Q(k), Q(1)))
+    expected = [(a, b) for a in range(-2, 3) for b in range(-k - 3, k + 4)
+                if 0 < a * a + (b + k * a) ** 2 <= 2]
+    assert short_vectors(Lattice("sheared", 2, gram), 2) == sorted(expected)
+
+
+def test_short_vector_norms_are_exact():
+    rng = random.Random(99)
+    cases = [(standard_lattice("E8"), 8)]
+    for n in [1, 2, 3, 4, 5] * 10:
+        cases.append((Lattice("skewed", n, skewed_gram(rng, n)), Q(rng.randint(1, 40), rng.randint(1, 4))))
+    nonempty = 0
+    for lat, bound in cases:
+        vecs, norms = lattice._short_vectors_with_norms(lat, bound)
+        g = [[int(x * lat._scale) for x in row] for row in lat.gram]
+        want = [sum(gij * v[i] * v[j] for i, row in enumerate(g) for j, gij in enumerate(row))
+                for v in vecs.tolist()]
+        assert norms.tolist() == want, (lat.gram, bound)
+        assert all(0 < q <= bound * lat._scale for q in want)
+        nonempty += len(want) > 0
+    assert nonempty >= 40
+
+
 def test_short_vectors_are_python_ints():
     vecs = short_vectors(standard_lattice("E8"), 2)
     assert all(type(x) is int for v in vecs for x in v)
