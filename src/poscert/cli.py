@@ -58,6 +58,8 @@ def _load_rows(path: str) -> list:
     for i, r in enumerate(rows):
         if len(r) != len(rows[0]):
             raise ValueError(f"{path}: row {i} has {len(r)} entries, row 0 has {len(rows[0])}")
+        if any(isinstance(v, int) and abs(v) > sys.float_info.max for v in r):
+            raise ValueError(f"{path}: row {i} has an integer beyond the float range")
     return rows
 
 
@@ -129,25 +131,16 @@ def _cmd_check(args) -> CommandResult:
     if args.check_command == "preserver":
         if not 2 <= args.dim <= MAX_PRESERVER_DIM:
             raise ValueError(f"--dim must be between 2 and {MAX_PRESERVER_DIM}, got {args.dim}")
-        w = entrywise.power_preserver_witness(
-            args.dim, args.power, seed=args.seed, trials=args.trials
-        )
-        if w is None:
-            return CommandResult(0, {"witness": None, "power": args.power, "dim": args.dim})
-        return CommandResult(0, {
-            "witness": {
-                "x": list(w.x),
-                "matrix": w.matrix.entries.tolist(),
-                "powered_min_eigenvalue": w.powered_min_eigenvalue,
-            },
-            "power": args.power,
-            "dim": args.dim,
-        })
+        w = entrywise.power_preserver_witness(args.dim, args.power)  # None: x^power preserves psd
+        witness = None if w is None else {"power": rat_str(w.power), "x": [rat_str(v) for v in w.x],
+                                          "w": [str(v) for v in w.w], "upper": rat_str(w.upper)}
+        return CommandResult(0, {"witness": witness, "power": args.power, "dim": args.dim})
 
     # midconvex
     pairs = _load_list(
-        args.samples, "samples", "[x, f(x)] pairs of numbers",
-        lambda p: isinstance(p, list) and len(p) == 2 and all(isinstance(z, (int, float)) for z in p),
+        args.samples, "samples", "[x, f(x)] pairs of numbers within the float range",
+        lambda p: isinstance(p, list) and len(p) == 2
+        and all(isinstance(z, float) or isinstance(z, int) and abs(z) <= sys.float_info.max for z in p),
     )
     samples = [(float(x), float(v)) for x, v in pairs]
     rep = entrywise.vasudeva_2x2_check(samples)
@@ -297,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cv = csub.add_parser("preserver")
     cv.add_argument("--power", type=float, required=True)
     cv.add_argument("--dim", type=int, required=True, help=f"2-{MAX_PRESERVER_DIM}")
-    cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--trials", type=int, default=200)
     cm = csub.add_parser("midconvex")
     cm.add_argument("samples", help="samples JSON file")
     c.set_defaults(func=_cmd_check)

@@ -3,12 +3,12 @@
 Floating-point companion to the exact modules: psd checking by full
 symmetric eigendecomposition, Schur products, entrywise polynomial /
 power / hard-threshold maps, structured Hankel and Toeplitz moment
-matrices, randomized witnesses against fractional-power preservation,
-Vasudeva's 2x2 predicates, and the Euclidean / spherical metric
+matrices, Vasudeva's 2x2 predicates, and the Euclidean / spherical metric
 embeddings driven by psd-ness of the (modified) Cayley--Menger matrix
-and of the entrywise cosine.
+and of the entrywise cosine. Witnesses against fractional-power
+preservation are exact.
 
-Every operation is pure; randomized searches take an explicit seed.
+Every operation is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
+
+from .polycore import bareiss_steps, parse_rat
 
 _SYM_TOL = 1e-12
 _EIG_SIGN_TOL = 1e-12
@@ -46,10 +50,11 @@ class SymMatrix:
         a = np.asarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
+        sym = SymMatrix(a.shape[0], a)  # rejects infinite entries before a - a.T meets inf - inf
         scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
         if float(np.abs(a - a.T).max()) > tol * scale:
             raise ValueError(f"asymmetry exceeds {tol}")
-        return SymMatrix(a.shape[0], a)
+        return sym
 
 
 @dataclass(frozen=True)
@@ -130,56 +135,64 @@ def apply_entrywise(spec: tuple, a: SymMatrix) -> SymMatrix:
     raise ValueError(f"unknown entrywise map kind: {kind!r}")
 
 
+MAX_WITNESS_BLOCK = 40  # rows; README ("CLI") has the timings behind this limit
+
+
+def _iroot(a: int, q: int) -> int:
+    """floor(a^(1/q)) for an int a >= 0: Newton from just above the root of a's leading half."""
+    s = a.bit_length() // (2 * q)
+    r = (_iroot(a >> q * s, q) + 1) << s if s else 1 << -(-a.bit_length() // q)
+    while r and (t := ((q - 1) * r + a // r ** (q - 1)) // q) < r:
+        r = t
+    return r
+
+
 @dataclass(frozen=True)
 class PowerWitness:
-    """A Jain matrix (1 + x_i x_j) whose entrywise alpha-power is not psd."""
+    """Points x and integers w with w^T P w <= upper < 0 for P = ((1 + x_i x_j)^power)."""
 
-    x: tuple[float, ...]
-    matrix: SymMatrix
-    powered_min_eigenvalue: float
+    power: Fraction
+    x: tuple[Fraction, ...]
+    w: tuple[int, ...]  # zero past the leading block that fails
+    upper: Fraction
 
 
-def power_preserver_witness(
-    n: int,
-    alpha: float,
-    seed: int = 0,
-    trials: int = 200,
-) -> Optional[PowerWitness]:
-    """Search Jain matrices for a counterexample to x^alpha preserving psd.
+def power_preserver_witness(n: int, alpha: Union[int, float, str, Fraction]) -> Optional[PowerWitness]:
+    """Certify that x^alpha does not preserve psd-ness on n x n matrices.
 
-    For non-integer alpha < n-2 every matrix (1 + x_i x_j) with distinct
-    positive x_i fails to stay psd under the entrywise alpha-power; the
-    search samples x over several scales, skipping overflowed powers. For
-    alpha in Z>=0 or alpha >= n-2 the power preserves psd-ness (FitzGerald
-    and Horn) and no search is made. A witness is only reported when its
-    negative eigenvalue lies below 100 n eps times the largest eigenvalue,
-    a margin over the rounding error of ``eigvalsh``. Where the true
-    negative eigenvalue is below double precision (for example n = 12,
-    alpha = 9.5) the search finds nothing although a witness exists.
+    None means it does: alpha is a nonnegative integer or alpha >= n - 2
+    (FitzGerald--Horn). Else P = ((1 + x_i x_j)^alpha) at x_i = 1/5 + 3i/(2(m-1))
+    fails on its leading m = max(2, floor(alpha) + 3) rows (Jain; Cauchy--Schwarz
+    for alpha < 0). For alpha = p/q, q <= 100, integer q-th roots put 2^B P in
+    [L, L + 1) entrywise; w from eliminating L, rounded to B bits, is certified
+    by w^T L w + (sum |w_i|)^2 < 0, with B doubled from 64 until that holds.
+    A float alpha is read as the decimal it prints as (0.1 is 1/10).
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not math.isfinite(alpha):
+    if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
-    if alpha >= n - 2 or (alpha >= 0 and alpha == int(alpha)):  # FitzGerald--Horn
+    alpha = parse_rat(repr(alpha) if isinstance(alpha, float) else alpha)
+    p, q = alpha.numerator, alpha.denominator
+    if alpha >= n - 2 or (alpha >= 0 and q == 1):  # FitzGerald--Horn
         return None
-    gate = 100 * n * np.finfo(float).eps
-    rng = np.random.default_rng(seed)
-    scales = (1.0, 0.25, 0.05, 4.0, 0.01)
-    for trial in range(trials):
-        scale = scales[trial % len(scales)]
-        x = np.sort(rng.uniform(0.2, 1.8, size=n)) * scale
-        a = 1.0 + np.outer(x, x)
-        with np.errstate(over="ignore"):
-            powered = np.power(a, alpha)
-        if np.min(np.diff(x)) <= 1e-9 * scale or not np.isfinite(powered).all():
-            continue
-        vals = np.linalg.eigvalsh(powered)
-        if vals[0] < -gate * vals[-1]:
-            return PowerWitness(tuple(x), SymMatrix(n, a), float(vals[0]))
-    return None
+    if q > 100 or abs(alpha) >= MAX_WITNESS_BLOCK - 2:
+        raise ValueError(f"a witness needs |power| < {MAX_WITNESS_BLOCK - 2}, denominator <= 100; got {alpha}")
+    m = max(2, math.floor(alpha) + 3)
+    x = [Fraction(1, 5) + Fraction(3 * i, 2 * (m - 1)) for i in range(n)]
+    y = [[(1 + xi * xj) ** p for xj in x[i:m]] for i, xi in enumerate(x[:m])]  # upper triangle
+    for bits in (64, 128, 256, 512, 1024, 2048):
+        u = [[_iroot((v.numerator << bits * q) // v.denominator, q) for v in row] for row in y]
+        L = [[u[min(i, j)][abs(j - i)] for j in range(m)] for i in range(m)]
+        w = [Fraction(1)]
+        for _, top in reversed(list(islice(bareiss_steps(L), m - 1))):
+            w.insert(0, -sum(map(mul, top[1:], w)) / top[0])
+        scale = (1 << bits) / max(map(abs, w))
+        w = [round(v * scale) for v in w]
+        bound = sum(wi * sum(map(mul, row, w)) for wi, row in zip(w, L)) + sum(map(abs, w)) ** 2
+        if bound < 0:
+            return PowerWitness(alpha, tuple(x), tuple(w) + (0,) * (n - len(w)), Fraction(bound, 1 << bits))
+    raise RuntimeError(f"no witness for power {alpha} at n = {n} within {bits} bits")
 
 
 @dataclass(frozen=True)

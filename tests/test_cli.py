@@ -1,5 +1,6 @@
 import importlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from poscert.cli import (
     MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_PRESERVER_DIM, MAX_SCHUR_DEGREE,
     MAX_SCHUR_N, run,
 )
+from poscert.entrywise import MAX_WITNESS_BLOCK
 from poscert.lattice import MAX_Z_RANK
 
 
@@ -72,13 +74,21 @@ def test_check_psd_rejects_asymmetric(tmp_path):
 
 
 def test_check_preserver_deterministic():
-    a = run(["check", "preserver", "--power", "0.5", "--dim", "3", "--seed", "1"])
-    b = run(["check", "preserver", "--power", "0.5", "--dim", "3", "--seed", "1"])
+    a = run(["check", "preserver", "--power", "0.5", "--dim", "3"])
+    b = run(["check", "preserver", "--power", "0.5", "--dim", "3"])
     assert a.exit_code == b.exit_code == 0
     assert a.payload["witness"] is not None
     assert a.payload == b.payload
     c = run(["check", "preserver", "--power", "2", "--dim", "3"])
     assert c.exit_code == 0 and c.payload["witness"] is None
+
+
+def test_check_preserver_certifies_where_floats_cannot():
+    # the failure at (12, 9.5) is about 1e-21 of the spectral scale
+    res = run(["check", "preserver", "--power", "9.5", "--dim", "12"])
+    w = res.payload["witness"]
+    assert res.exit_code == 0 and w["power"] == "19/2" and len(w["x"]) == len(w["w"]) == 12
+    assert Fraction(w["upper"]) < 0
 
 
 def test_check_midconvex(tmp_path):
@@ -138,10 +148,10 @@ def test_schur_verify():
 
 
 @pytest.mark.parametrize("argv, limit", [
-    pytest.param(["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "-1"], ">= 1",
-                 id="preserver-trials-negative"),
-    pytest.param(["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "0"], ">= 1",
-                 id="preserver-trials-zero"),
+    pytest.param(["check", "preserver", "--power", "38.5", "--dim", "50"], f"|power| < {MAX_WITNESS_BLOCK - 2}",
+                 id="preserver-block-above-limit"),
+    pytest.param(["check", "preserver", "--power", "-38.5", "--dim", "50"], f"|power| < {MAX_WITNESS_BLOCK - 2}",
+                 id="preserver-negative-power-below-limit"),
     pytest.param(["check", "preserver", "--power", "0.5", "--dim", str(MAX_PRESERVER_DIM + 1)],
                  f"--dim must be between 2 and {MAX_PRESERVER_DIM}", id="preserver-dim-above-limit"),
     pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
@@ -195,6 +205,13 @@ def test_sizes_rejected_up_front(argv, limit):
                  "sample [x, f(x)] = [1.0, nan] is not finite", id="midconvex-nan"),
     pytest.param(["check", "midconvex", "FILE"], {"samples": [[1, 2], [float("inf"), 3]]},
                  "sample [x, f(x)] = [inf, 3.0] is not finite", id="midconvex-inf"),
+    pytest.param(["check", "midconvex", "FILE"], {"samples": [[1, 2], [2, 10**400]]},
+                 '"samples" must be a list of [x, f(x)] pairs of numbers within the float range',
+                 id="midconvex-int-1e400"),
+    pytest.param(["check", "psd", "FILE"], {"rows": [[1, 0], [0, -10**400]]},
+                 "row 1 has an integer beyond the float range", id="psd-int-1e400"),
+    pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, 10**400], [10**400, 0]]},
+                 "row 0 has an integer beyond the float range", id="euclidean-int-1e400"),
     pytest.param(["check", "preserver", "--power", "nan", "--dim", "3"], None,
                  "power must be finite, got nan", id="preserver-power-nan"),
     pytest.param(["check", "preserver", "--power", "inf", "--dim", "3"], None,
@@ -253,11 +270,18 @@ CONTRACT_CASES = [
     case(0, "psd-1e308-diagonal", ["check", "psd", "FILE"], {"rows": [[1e308, 0], [0, 1]]}),
     case(2, "psd-tol-negative", ["check", "psd", "FILE", "--tol", "-1"], {"rows": [[1, 2], [2, 1]]}),
     case(2, "psd-nan", ["check", "psd", "FILE"], {"rows": [[1, NAN], [NAN, 1]]}),
+    case(2, "psd-inf", ["check", "psd", "FILE"], {"rows": [[1, INF], [INF, 1]]}),
+    case(2, "psd-int-1e400", ["check", "psd", "FILE"], {"rows": [[1, 10**400], [10**400, 1]]}),
     case(2, "psd-not-square", ["check", "psd", "FILE"], {"rows": [[1, 2]]}),
     case(2, "psd-string", ["check", "psd", "FILE"], {"rows": [["a"]]}),
-    case(0, "preserver", ["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "20"]),
+    case(0, "preserver", ["check", "preserver", "--power", "0.5", "--dim", "3"]),
     case(0, "preserver-power-200", ["check", "preserver", "--power", "200", "--dim", "4"]),
-    case(0, "preserver-power-180.5-dim-190", ["check", "preserver", "--power", "180.5", "--dim", "190", "--trials", "20"]),
+    case(0, "preserver-power-negative", ["check", "preserver", "--power", "-0.5", "--dim", "1500"]),
+    case(0, "preserver-power-37.5-dim-40", ["check", "preserver", "--power", "37.5", "--dim", "40"]),
+    case(2, "preserver-power-180.5-dim-190", ["check", "preserver", "--power", "180.5", "--dim", "190"]),
+    case(2, "preserver-power-minus-38", ["check", "preserver", "--power", "-38", "--dim", "3"]),
+    case(2, "preserver-seed", ["check", "preserver", "--power", "0.5", "--dim", "3", "--seed", "1"]),
+    case(2, "preserver-trials", ["check", "preserver", "--power", "0.5", "--dim", "3", "--trials", "20"]),
     case(2, "preserver-dim-1", ["check", "preserver", "--power", "0.5", "--dim", "1"]),
     case(2, "preserver-power-not-float", ["check", "preserver", "--power", "half", "--dim", "3"]),
     case(0, "midconvex", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 2], [4, 4]]}),
@@ -267,10 +291,12 @@ CONTRACT_CASES = [
     case(1, "midconvex-1e250", ["check", "midconvex", "FILE"], {"samples": [[1e150, 1], [1e200, 10], [1e250, 10]]}),
     case(2, "midconvex-x-0", ["check", "midconvex", "FILE"], {"samples": [[0, 1]]}),
     case(2, "midconvex-unsorted", ["check", "midconvex", "FILE"], {"samples": [[2, 1], [1, 2]]}),
+    case(2, "midconvex-int-1e400", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 10**400]]}),
     case(0, "euclidean", ["embed", "euclidean", "FILE"], {"rows": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
     case(1, "euclidean-star", ["embed", "euclidean", "FILE"], {"rows": STAR}),
     case(2, "euclidean-nan", ["embed", "euclidean", "FILE"], {"rows": [[0, NAN], [NAN, 0]]}),
     case(2, "euclidean-asymmetric", ["embed", "euclidean", "FILE"], {"rows": [[0, 1], [2, 0]]}),
+    case(2, "euclidean-int-1e400", ["embed", "euclidean", "FILE"], {"rows": [[0, 10**400], [10**400, 0]]}),
     case(0, "sphere", ["embed", "sphere", "FILE"], {"rows": [[0, 1], [1, 0]]}),
     case(1, "sphere-diameter", ["embed", "sphere", "FILE"], {"rows": [[0, 3.5], [3.5, 0]]}),
     case(2, "sphere-inf", ["embed", "sphere", "FILE"], {"rows": [[0, INF], [INF, 0]]}),

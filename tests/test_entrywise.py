@@ -1,4 +1,8 @@
+import decimal
 import math
+import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from poscert.entrywise import (
     DiameterError,
     DistanceMatrix,
     SymMatrix,
+    _iroot,
     apply_entrywise,
     entrywise_power,
     entrywise_threshold,
@@ -157,28 +162,85 @@ def test_power_witness_explicit_matrix():
 
 
 def test_power_witness_search():
-    w = power_preserver_witness(3, 0.5, seed=1)
+    w = power_preserver_witness(3, 0.5)
     assert w is not None
-    assert w.powered_min_eigenvalue < -1e-8
+    assert w.upper < 0
     assert len(w.x) == 3 and len(set(w.x)) == 3
     # integer power and above the n-2 threshold: no witness exists
-    assert power_preserver_witness(3, 2.0, seed=1) is None
-    assert power_preserver_witness(4, 2.5, seed=1) is None
+    assert power_preserver_witness(3, 2.0) is None
+    assert power_preserver_witness(4, 2.5) is None
 
 
 def test_power_witness_search_dim_6():
-    # at n = 6 the failure at alpha = 3.5 is about 1e-9 of the spectral
-    # scale: far above eigvalsh rounding, far below a fixed 1e-8 gate
+    # at n = 6 the failure at alpha = 3.5 is about 1e-9 of the spectral scale
     w = power_preserver_witness(6, 3.5)
-    assert w is not None and w.powered_min_eigenvalue < 0
+    assert w is not None and w.upper < 0
     for alpha in (3.0, 4.0, 4.5):  # integer, or >= n - 2: psd is preserved
         assert power_preserver_witness(6, alpha) is None
 
 
 def test_power_witness_deterministic():
-    a = power_preserver_witness(4, 0.7, seed=9)
-    b = power_preserver_witness(4, 0.7, seed=9)
-    assert a.x == b.x
+    a = power_preserver_witness(4, 0.7)
+    b = power_preserver_witness(4, 0.7)
+    assert a == b
+
+
+def test_iroot_brackets_the_root():
+    rng = random.Random(5)
+    for _ in range(3000):
+        q = rng.randint(1, 100)
+        a = rng.choice([0, 1, rng.getrandbits(rng.randint(1, 4000)), rng.randint(2, 10**6) ** q + rng.randint(-1, 1)])
+        r = _iroot(a, q)
+        assert r ** q <= a < (r + 1) ** q, (a, q)
+
+
+def _certified(n, alpha):
+    w = power_preserver_witness(n, alpha)
+    m = max(2, math.floor(alpha) + 3)
+    assert w.upper < 0 and w.power == alpha and len(w.x) == len(w.w) == n
+    assert all(w.w[:m]) and not any(w.w[m:]), (n, alpha)
+    return w
+
+
+def test_power_witness_certified_for_half_integers():
+    for n in range(3, 13):
+        for k in range(1, 2 * n - 4, 2):
+            _certified(n, Fraction(k, 2))
+    for n in range(13, 31):  # the largest half-integer below n - 2, which needs all n rows
+        _certified(n, Fraction(2 * n - 5, 2))
+
+
+def test_power_witness_negative_powers_fail_on_two_rows():
+    for alpha in (Fraction(-1, 2), Fraction(-3, 2), -2):
+        _certified(5, alpha)
+
+
+def test_power_witness_bound_against_float_evaluation():
+    w = _certified(6, Fraction(7, 2))
+    x = np.array([float(v) for v in w.x])
+    p = np.power(1.0 + np.outer(x, x), 3.5)
+    v = np.array([float(c) for c in w.w])
+    value = v @ p @ v
+    # slack for float rounding of the sum, about 1/4000 of |upper|
+    assert value < 0 and value <= float(w.upper) + 1e-12 * (np.abs(v) @ p @ np.abs(v))
+
+
+def test_power_witness_bound_against_300_digit_evaluation():
+    w = _certified(12, Fraction(19, 2))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        x = [Decimal(v.numerator) / v.denominator for v in w.x]
+        value = sum(wi * wj * (1 + xi * xj) ** Decimal("9.5")
+                    for wi, xi in zip(w.w, x) for wj, xj in zip(w.w, x))
+        assert value < 0 and value <= Decimal(w.upper.numerator) / w.upper.denominator
+
+
+def test_power_witness_reads_the_power_exactly():
+    assert (power_preserver_witness(12, 9.5) == power_preserver_witness(12, "19/2")
+            == power_preserver_witness(12, "9.5") == power_preserver_witness(12, Fraction(19, 2)))
+    assert power_preserver_witness(3, 0.1).power == Fraction(1, 10)
+    with pytest.raises(ValueError, match="denominator <= 100"):
+        power_preserver_witness(5, 1 / 3)  # read as 3333333333333333/10^16
 
 
 def test_moment_matrix_hankel():
