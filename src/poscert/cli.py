@@ -14,7 +14,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import delsarte, entrywise, lattice, schurdet
 from .gegenbauer import gegenbauer as gegenbauer_poly
@@ -30,6 +29,8 @@ MAX_GEGENBAUER_K = 1700
 MAX_LP_DEGREE = 800
 MAX_LP_ENTRIES = 20_000_000
 MAX_PRESERVER_DIM = 1500
+MAX_DIM = 10_000  # gegenbauer and bound spherical-code
+MAX_MIDCONVEX_SAMPLES = 1000
 
 
 @dataclass
@@ -63,7 +64,13 @@ def _load_rows(path: str) -> list:
     return rows
 
 
+def _check_dim(dim: int, limit: int = MAX_DIM) -> None:
+    if not 2 <= dim <= limit:
+        raise ValueError(f"--dim must be between 2 and {limit}, got {dim}")
+
+
 def _cmd_gegenbauer(args) -> CommandResult:
+    _check_dim(args.dim)
     if args.expand:
         p = Poly.from_strings(_load_list(
             args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
@@ -93,6 +100,7 @@ def _cmd_bound(args) -> CommandResult:
         payload["name"] = args.cert
         return CommandResult(0, payload)
     # spherical-code
+    _check_dim(args.dim)
     if not 0 <= args.degree <= MAX_LP_DEGREE:
         raise ValueError(f"--degree must be between 0 and {MAX_LP_DEGREE}, got {args.degree}")
     max_grid = MAX_LP_ENTRIES // (args.degree + 1)
@@ -129,8 +137,7 @@ def _cmd_check(args) -> CommandResult:
         return CommandResult(0 if rep.is_psd else 1, payload)
 
     if args.check_command == "preserver":
-        if not 2 <= args.dim <= MAX_PRESERVER_DIM:
-            raise ValueError(f"--dim must be between 2 and {MAX_PRESERVER_DIM}, got {args.dim}")
+        _check_dim(args.dim, MAX_PRESERVER_DIM)
         w = entrywise.power_preserver_witness(args.dim, args.power)  # None: x^power preserves psd
         witness = None if w is None else {"power": rat_str(w.power), "x": [rat_str(v) for v in w.x],
                                           "w": [str(v) for v in w.w], "upper": rat_str(w.upper)}
@@ -142,6 +149,8 @@ def _cmd_check(args) -> CommandResult:
         lambda p: isinstance(p, list) and len(p) == 2
         and all(isinstance(z, float) or isinstance(z, int) and abs(z) <= sys.float_info.max for z in p),
     )
+    if len(pairs) > MAX_MIDCONVEX_SAMPLES:
+        raise ValueError(f"at most {MAX_MIDCONVEX_SAMPLES} samples, got {len(pairs)}")
     samples = [(float(x), float(v)) for x, v in pairs]
     rep = entrywise.vasudeva_2x2_check(samples)
     ok = rep.nonnegative and rep.nondecreasing and rep.mult_midconvex
@@ -219,7 +228,7 @@ def _cmd_schur(args) -> CommandResult:
     for _ in range(args.trials):
         u = rng.sample(range(-8, 9), args.N)
         v = rng.sample(range(-8, 9), args.N)
-        fc = [Fraction(rng.randint(-4, 4)) for _ in range(args.degree + 1)]
+        fc = [rng.randint(-4, 4) for _ in range(args.degree + 1)]
         a = schurdet.det_series_direct(fc, u, v, cutoff)
         b = schurdet.det_series_formula(fc, u, v, cutoff)
         if a != b:
@@ -266,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gegenbauer", help="emit G_k^{(n)} or expand a polynomial")
-    g.add_argument("--dim", type=int, required=True)
+    g.add_argument("--dim", type=int, required=True, help=f"2-{MAX_DIM}")
     g.add_argument("--k", type=int, help=f"degree, 0-{MAX_GEGENBAUER_K}")
     g.add_argument("--expand", metavar="FILE")
     g.set_defaults(func=_cmd_gegenbauer)
@@ -274,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="spherical-code upper bounds")
     bsub = b.add_subparsers(dest="bound_command", required=True)
     bs = bsub.add_parser("spherical-code", help="LP bound plus exact certificate")
-    bs.add_argument("--dim", type=int, required=True)
+    bs.add_argument("--dim", type=int, required=True, help=f"2-{MAX_DIM}")
     bs.add_argument("--cos", required=True, help="cos(psi) as 'p/q'")
     bs.add_argument("--degree", type=int, required=True, help=f"0-{MAX_LP_DEGREE}")
     bs.add_argument("--grid", type=int, default=2000)

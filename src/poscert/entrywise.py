@@ -14,6 +14,7 @@ Every operation is pure and deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -46,14 +47,14 @@ class SymMatrix:
         self.entries.setflags(write=False)
 
     @staticmethod
-    def from_rows(rows, tol: float = _SYM_TOL) -> "SymMatrix":
+    def from_rows(rows) -> "SymMatrix":
         a = np.asarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         sym = SymMatrix(a.shape[0], a)  # rejects infinite entries before a - a.T meets inf - inf
         scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-        if float(np.abs(a - a.T).max()) > tol * scale:
-            raise ValueError(f"asymmetry exceeds {tol}")
+        if float(np.abs(a - a.T).max()) > _SYM_TOL * scale:
+            raise ValueError(f"asymmetry exceeds {_SYM_TOL}")
         return sym
 
 
@@ -377,15 +378,17 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
             nondec = False
             violation = violation or ("nondecreasing", x1, x2)
             break
+    fq, eps = [Fraction(v) for v in fs], Fraction(1e-12)  # exact: the squares of fs may overflow
     for i in range(len(xs)):
         for j in range(i, len(xs)):
             g = math.sqrt(xs[i]) * math.sqrt(xs[j])  # the product may overflow
-            for k, xk in enumerate(xs):
-                if abs(xk - g) <= 1e-12 * max(1.0, g):
-                    # exact on the floats' values: their squares may overflow
-                    lhs, rhs = Fraction(fs[k]) ** 2, Fraction(fs[i]) * Fraction(fs[j])
-                    if lhs > rhs + Fraction(1e-12) * max(1, abs(rhs)):
-                        midconv = False
-                        violation = violation or ("mult_midconvex", xs[i], xs[j], xk)
-                    break
+            tol = 1e-12 * max(1.0, g)
+            # xk - g rounds monotonically in xk, so the first k with
+            # |xk - g| <= tol is the first with xk - g >= -tol, if any
+            k = bisect_left(xs, -tol, key=lambda x: x - g)
+            if k < len(xs) and xs[k] - g <= tol:
+                rhs = fq[i] * fq[j]
+                if fq[k] ** 2 > rhs + eps * max(1, abs(rhs)):
+                    midconv = False
+                    violation = violation or ("mult_midconvex", xs[i], xs[j], xs[k])
     return VasudevaReport(nonneg, nondec, midconv, violation)

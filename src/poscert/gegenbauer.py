@@ -216,19 +216,16 @@ def dim_spherical_harmonics(n: int, k: int) -> int:
 def normalized_moment(n: int, j: int) -> Fraction:
     """j-th moment of (1-t^2)^{(n-3)/2} dt on [-1,1], normalized to m_0 = 1.
 
-    Odd moments vanish by symmetry; the even ones obey the two-term
-    rational recurrence m_{2k} = m_{2k-2} (2k-1)/(2k+n-2), so the ratio of
-    Beta functions never has to be evaluated transcendentally.
+    Odd moments vanish by symmetry; the even ones are the closed product
+    m_{2k} = prod_{i<=k} (2i-1)/(2i+n-2), so the ratio of Beta functions
+    never has to be evaluated transcendentally.
     """
     _check_dim(n)
     if j < 0:
         raise ValueError("moment order must be >= 0")
     if j % 2 == 1:
         return Fraction(0)
-    if j == 0:
-        return Fraction(1)
-    k = j // 2
-    return normalized_moment(n, j - 2) * Fraction(2 * k - 1, 2 * k + n - 2)
+    return Fraction(prod(range(1, j, 2)), prod(range(n, j + n - 1, 2)))
 
 
 def inner_product_normalized(n: int, p: Poly, q: Poly) -> Fraction:

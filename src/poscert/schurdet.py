@@ -10,10 +10,11 @@ with V the Vandermonde product prod_{i<j} (u_i - u_j) and s_n the Schur
 polynomial evaluated through the bialternant det(x_i^{n_j}) / V(x).
 Both sides are computed here independently and exactly, so each serves
 as an oracle for the other. The left is Berkowitz's division-free
-determinant (Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}), after
-one common denominator is cleared from the rational entries; it takes
-O(N^4) series products. The right sums det(u_i^{n_j}) det(v_i^{n_j}),
-which is V(u) s_n(u) V(v) s_n(v), over the light tuples, in integers too.
+determinant (Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}); it
+takes O(N^4) series products. The right sums det(u_i^{n_j}) det(v_i^{n_j}),
+which is V(u) s_n(u) V(v) s_n(v), over the light tuples. Both run in
+integers: one front end clears the denominators of f, u and v once, and
+each side divides its weight-M coefficient by the same (d_u d_v)^M d_f^N.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -121,6 +122,22 @@ def _det_berkowitz(a: list[list[list[int]]], cutoff: int) -> list[int]:
     return poly[-1] if len(a) % 2 == 0 else [-x for x in poly[-1]]
 
 
+def _cleared(f_coeffs, u, v, cutoff):
+    """Both sides' front end: integers g, a, b and the divisor of each weight M.
+
+    With f = g / d_f (cut at the cutoff), u = a / d_u and v = b / d_v, the t^M
+    coefficient of det f[t u v^T] is that of det g[t a b^T] over (d_u d_v)^M d_f^N.
+    """
+    uu, vv = [rat(x) for x in u], [rat(x) for x in v]
+    n = len(uu)
+    if len(vv) != n:
+        raise ValueError("u and v must have equal length")
+    if cutoff < n * (n - 1) // 2:
+        raise ValueError("cutoff must be at least binom(N, 2)")
+    (g, df), (a, du), (b, dv) = map(clear_denominators, ([rat(c) for c in f_coeffs][: cutoff + 1], uu, vv))
+    return g, a, b, [(du * dv) ** m * df**n for m in range(cutoff + 1)]
+
+
 def det_series_direct(
     f_coeffs: Sequence[RationalLike],
     u: Sequence[RationalLike],
@@ -128,20 +145,9 @@ def det_series_direct(
     cutoff: int,
 ) -> TruncatedSeries:
     """Left side: det of the N x N matrix of series f(t u_i v_j), exact."""
-    uu = [rat(x) for x in u]
-    vv = [rat(x) for x in v]
-    n = len(uu)
-    if len(vv) != n:
-        raise ValueError("u and v must have equal length")
-    if cutoff < n * (n - 1) // 2:
-        raise ValueError("cutoff must be at least binom(N, 2)")
-    fs = [rat(c) for c in f_coeffs][: cutoff + 1]
-    mat = [[[fm * (ui * vj) ** m for m, fm in enumerate(fs)] for vj in vv] for ui in uu]
-    # det(D A) = D^N det(A), for D the lcm of every entry's denominators.
-    d = lcm(*(c.denominator for row in mat for entry in row for c in entry))
-    scaled = [[[c.numerator * (d // c.denominator) for c in e] for e in row] for row in mat]
-    det = _det_berkowitz(scaled, cutoff)
-    return TruncatedSeries.make(cutoff, [Fraction(c, d**n) for c in det])
+    g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
+    det = _det_berkowitz([[[gm * (ai * bj) ** m for m, gm in enumerate(g)] for bj in b] for ai in a], cutoff)
+    return TruncatedSeries.make(cutoff, list(map(Fraction, det, divisors)))
 
 
 def _light_tuples(support: Sequence[int], n: int, cutoff: int):
@@ -171,23 +177,14 @@ def det_series_formula(
     V(u) s_n(u) is det(u_i^{n_j}), and the tuple's order cancels between
     the u and v determinants. Tuples come from the support of f, a branch
     stopping once its weight plus its lightest completion exceeds cutoff.
-    With u = a / d_u, v = b / d_v, f = g / d_f, the weight-M coefficient is
-    sum det(a_i^{n_j}) det(b_i^{n_j}) prod_j g_{n_j} / ((d_u d_v)^M d_f^N).
     """
-    uu = [rat(x) for x in u]
-    vv = [rat(x) for x in v]
-    n = len(uu)
-    if len(vv) != n:
-        raise ValueError("u and v must have equal length")
-    if cutoff < n * (n - 1) // 2:
-        raise ValueError("cutoff must be at least binom(N, 2)")
-    if len(set(uu)) != n or len(set(vv)) != n:
+    g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
+    n = len(a)
+    if len(set(a)) != n or len(set(b)) != n:
         raise ValueError("u and v entries must be pairwise distinct")
-    g, df = clear_denominators([rat(c) for c in f_coeffs][: cutoff + 1])
-    (a, du), (b, dv) = clear_denominators(uu), clear_denominators(vv)
     pows = [[[x**m for m in range(len(g))] for x in xs] for xs in (a, b)]
     out = [0] * (cutoff + 1)
     for tpl, m in _light_tuples([e for e, ge in enumerate(g) if ge], n, cutoff):
         da, db = (det_exact([[row[e] for e in tpl] for row in p]) for p in pows)
         out[m] += da.numerator * db.numerator * prod(g[e] for e in tpl)
-    return TruncatedSeries.make(cutoff, [Fraction(c, (du * dv) ** m * df**n) for m, c in enumerate(out)])
+    return TruncatedSeries.make(cutoff, list(map(Fraction, out, divisors)))

@@ -7,8 +7,8 @@ import pytest
 
 from poscert import cli
 from poscert.cli import (
-    MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_PRESERVER_DIM, MAX_SCHUR_DEGREE,
-    MAX_SCHUR_N, run,
+    MAX_DIM, MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_MIDCONVEX_SAMPLES, MAX_PRESERVER_DIM,
+    MAX_SCHUR_DEGREE, MAX_SCHUR_N, run,
 )
 from poscert.entrywise import MAX_WITNESS_BLOCK
 from poscert.lattice import MAX_Z_RANK
@@ -171,8 +171,19 @@ def test_schur_verify():
                  id="spherical-code-grid-above-limit"),
     pytest.param(["lattice", "info", "--name", f"Z{MAX_Z_RANK + 1}", "--json"], f"between 1 and {MAX_Z_RANK}",
                  id="lattice-Z-above-limit"),
+    pytest.param(["gegenbauer", "--dim", str(MAX_DIM + 1), "--k", "2"],
+                 f"--dim must be between 2 and {MAX_DIM}", id="gegenbauer-dim-above-limit"),
+    pytest.param(["gegenbauer", "--dim", "100000000", "--expand", {"poly": [0, 1]}],
+                 f"--dim must be between 2 and {MAX_DIM}", id="expand-dim-above-limit"),
+    pytest.param(["bound", "spherical-code", "--dim", str(10**400), "--cos", "1/2", "--degree", "6"],
+                 f"--dim must be between 2 and {MAX_DIM}", id="spherical-code-dim-above-limit"),
+    pytest.param(["check", "midconvex", {"samples": [[x, x] for x in range(1, MAX_MIDCONVEX_SAMPLES + 2)]}],
+                 f"at most {MAX_MIDCONVEX_SAMPLES} samples, got {MAX_MIDCONVEX_SAMPLES + 1}",
+                 id="midconvex-samples-above-limit"),
 ])
-def test_sizes_rejected_up_front(argv, limit):
+def test_sizes_rejected_up_front(tmp_path, argv, limit):
+    # a dict in argv stands for a JSON file holding it
+    argv = [write(tmp_path, "in.json", a) if isinstance(a, dict) else a for a in argv]
     res = run(argv)
     assert res.exit_code == 2
     assert limit in res.payload["reason"]
@@ -249,6 +260,7 @@ STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
 CONTRACT_CASES = [
     case(0, "gegenbauer-k", ["gegenbauer", "--dim", "3", "--k", "4"]),
     case(0, "expand", ["gegenbauer", "--dim", "5", "--expand", "FILE"], {"poly": ["1/2", 0, 3.5]}),
+    case(0, "gegenbauer-dim-at-limit", ["gegenbauer", "--dim", str(MAX_DIM), "--k", "4"]),
     case(2, "gegenbauer-dim-1", ["gegenbauer", "--dim", "1", "--k", "2"]),
     case(2, "gegenbauer-no-k", ["gegenbauer", "--dim", "3"]),
     case(2, "gegenbauer-dim-not-int", ["gegenbauer", "--dim", "x", "--k", "2"]),
@@ -260,6 +272,7 @@ CONTRACT_CASES = [
     case(1, "degree-0", [*SC, "--dim", "3", "--cos", "1/2", "--degree", "0"]),
     case(2, "cos-1", [*SC, "--dim", "3", "--cos", "1", "--degree", "4"]),
     case(2, "cos-nan", [*SC, "--dim", "3", "--cos", "nan", "--degree", "4"]),
+    case(0, "spherical-code-dim-at-limit", [*SC, "--dim", str(MAX_DIM), "--cos", "0", "--degree", "2"]),
     case(2, "spherical-code-dim-1", [*SC, "--dim", "1", "--cos", "1/2", "--degree", "4"]),
     case(2, "grid-below-degree", [*SC, "--dim", "3", "--cos", "1/2", "--degree", "4", "--grid", "3"]),
     case(2, "spherical-code-no-degree", [*SC, "--dim", "3", "--cos", "1/2"]),

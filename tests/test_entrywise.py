@@ -387,6 +387,58 @@ def test_vasudeva_constant_and_violations():
     assert not rep.mult_midconvex and rep.violation[0] == "mult_midconvex"
 
 
+def _midconvex_reference(samples):
+    # the all-pairs scan of every sample that vasudeva_2x2_check ran before it bisected
+    xs = [float(x) for x, _ in samples]
+    fs = [float(v) for _, v in samples]
+    midconv, violation = True, None
+    for i in range(len(xs)):
+        for j in range(i, len(xs)):
+            g = math.sqrt(xs[i]) * math.sqrt(xs[j])
+            for k, xk in enumerate(xs):
+                if abs(xk - g) <= 1e-12 * max(1.0, g):
+                    lhs, rhs = Fraction(fs[k]) ** 2, Fraction(fs[i]) * Fraction(fs[j])
+                    if lhs > rhs + Fraction(1e-12) * max(1, abs(rhs)):
+                        midconv = False
+                        violation = violation or ("mult_midconvex", xs[i], xs[j], xk)
+                    break
+    return midconv, violation
+
+
+def _sample_sets():
+    rng = random.Random(11)
+    for trial in range(120):
+        n = rng.randint(1, 40)
+        kind = trial % 4
+        if kind == 0:  # integers, whose products are often squares
+            xs = sorted(rng.sample(range(1, 300), n))
+        elif kind == 1:  # random floats over many magnitudes
+            xs = sorted({10 ** rng.uniform(-200, 200) for _ in range(n)})
+        elif kind == 2:  # a geometric grid, where about half the pairs match
+            r, x0 = 2 ** (1 / rng.randint(1, 8)), 10 ** rng.uniform(-100, 100)
+            xs = [x0 * r**e for e in range(n)]
+        else:  # clusters closer than the tolerance: several samples match one mean
+            xs = sorted({c * (1 + 3e-13 * rng.randint(-3, 3)) for c in rng.sample(range(1, 50), n)
+                         for _ in range(3)})
+        p = rng.choice((0.25, 0.5, 1.0, None))  # x^p is midconvex but for the noise
+        fs = [rng.uniform(0, 5) if p is None else x**p * (1 + rng.uniform(-1e-3, 1e-3)) for x in xs]
+        if trial % 3 == 0:
+            fs.sort()
+        yield list(zip(xs, fs))
+
+
+def test_vasudeva_matches_all_pairs_reference():
+    outcomes = []
+    for samples in _sample_sets():
+        rep = vasudeva_2x2_check(samples)
+        midconv, violation = _midconvex_reference(samples)
+        assert rep.mult_midconvex == midconv
+        if rep.nonnegative and rep.nondecreasing:
+            assert rep.violation == violation
+        outcomes.append(midconv)
+    assert outcomes.count(True) > 20 and outcomes.count(False) > 20
+
+
 def test_vasudeva_validation():
     with pytest.raises(ValueError):
         vasudeva_2x2_check([(2.0, 1.0), (1.0, 1.0)])
