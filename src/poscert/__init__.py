@@ -7,7 +7,7 @@ Modules:
     entrywise  psd checks, Schur products, entrywise maps, embeddings
     schurdet   the determinant / Schur-polynomial expansion identity
     lattice    root lattices, E8, Leech, Golay code, short vectors
-    simplex    dense tableau simplex used by the LP engine
+    simplex    revised simplex used by the LP engine
     cli        command-line front end
 """
 

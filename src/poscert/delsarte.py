@@ -43,9 +43,10 @@ _ANGLE_TOL = 1e-12
 class CertificateRejection(Exception):
     """A candidate bound certificate failed one of the exact checks."""
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, witness=None):
         super().__init__(message)
         self.kind = kind
+        self.witness = witness  # for a positivity violation, an interval where f > 0 somewhere
 
 
 class LpInfeasible(Exception):
@@ -111,6 +112,7 @@ def verify_certificate(n: int, s, f: Poly) -> BoundCertificate:
         raise CertificateRejection(
             "positivity_violation",
             f"polynomial is positive somewhere on [{rat_str(a)}, {rat_str(b)}]",
+            witness,
         )
     return BoundCertificate(n, s, f, coeffs, f(1) / c0)
 
@@ -174,9 +176,10 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     each solve, every point where f exceeds the simplex tolerance joins
     it, and once none is left the optimum is that of the whole grid.
     Between grid points the float solution can exceed 0, so c_0 is
-    lowered by the maximum of a float scan of f there before one exact
-    check; the repair only ever weakens the bound. When that slack would
-    reach c_0 = 1, no certificate is returned.
+    lowered by the maximum of a float scan of f there before an exact
+    check; a rejected check rescans f across its witness interval. The
+    repair only ever weakens the bound. When that slack would reach
+    c_0 = 1, no certificate is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -227,15 +230,17 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     scan = np.clip((peaks[:, None] + np.linspace(-1, 1, 65) * (ts[1] - ts[0])).ravel(), -1.0, s_f)
     peak = float((rounded @ gegenbauer_values(n, d, scan)).max())
     noise = 1e-12 * float(rounded.sum())  # rounding noise at the exact optima
-    unit = Fraction(1, 2**32)
+    unit = step = Fraction(1, 2**32)
     slack = 0 if peak <= noise else ceil((peak + noise) * 2**32) * unit
     poly = expand_gegenbauer(n, [0] + [Fraction(c) for c in rounded[1:]])
-    while slack < 1:  # a rejected check adds 1, 8, 64, ... units of 2^-32
+    while slack < 1:
         try:
             certificate = verify_certificate(n, s_exact, poly + Poly.constant(1 - slack))
             return LpBoundResult(float_coeffs, float_bound, certificate, None)
-        except CertificateRejection:
-            slack, unit = slack + unit, unit * 8
+        except CertificateRejection as exc:
+            # the rescan's maximum, or 1, 8, 64, ... units more if it finds less
+            top = rounded @ gegenbauer_values(n, d, np.linspace(*map(float, exc.witness), 65))
+            slack, step = max(slack + step, ceil((top.max() + noise) * 2**32) * unit), step * 8
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
 

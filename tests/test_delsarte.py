@@ -123,6 +123,13 @@ def test_lp_bound_one_exact_check_per_bound(verify_calls):
     assert len(verify_calls) == 22
 
 
+@pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (20, 16, 40000), (20, 12, 80000), (11, 20, 2000)])
+def test_lp_bound_rejected_check_rescans_its_witness(verify_calls, n, d, grid):
+    # the first slack misses the excess; the witness rescan's slack then passes
+    assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
+    assert len(verify_calls) == 2
+
+
 def test_lp_bound_overshoot_between_grid_points(verify_calls):
     # f exceeds 0 by about 3.6 near t = -0.43 between grid points; the
     # float bound grows with the grid, so no slack on c_0 = 1 can help.
@@ -158,6 +165,13 @@ def test_lp_bound_high_degree_and_fine_grid(n, d, grid, value):
     assert res.certificate is not None, res.rejection
     assert abs(res.float_bound - value) <= 1e-4 * value
     assert abs(float(res.certificate.bound) - value) <= 1e-4 * value
+
+
+def test_lp_bound_degree_900():
+    # the first working set is the whole grid: 2001 columns over 900 rows
+    res = lp_bound(3, Q(1, 2), 900, 2000)
+    assert res.certificate is not None, res.rejection
+    assert abs(float(res.certificate.bound) - 13.158225) <= 1e-4 * 13.158225
 
 
 def full_grid_optimum(n, s, d, grid):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,10 @@ def test_added_columns_resume_to_the_cold_optimum(lp, split):
     tableau = Tableau(c[:split], A[:, :split], b)
     assert tableau.solve().status == "optimal"
     tableau.add_columns(c[split:], A[:, split:])
-    # the basic columns, renumbered past the new ones, still form I over a zero cost row
-    assert tableau.T[:, tableau.basis] == pytest.approx(np.eye(len(b) + 1, len(b)), abs=1e-12)
+    # the basic columns, renumbered past the new ones, still give B^-1 B = I over zero
+    # reduced costs: E = [[B^-1, 0], [y, 1]] maps them to I over a zero cost row
+    E = tableau.inv[:, :-1]
+    assert E @ tableau.cols[:, tableau.basis] == pytest.approx(np.eye(len(b) + 1, len(b)), abs=1e-12)
     warm = tableau.solve()
     assert warm.status == cold.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
@@ -97,3 +101,56 @@ def test_each_solve_reports_its_pivots_and_bland():
     res = Tableau(*CYCLING).solve()
     assert res.bland
     assert res.pivots > simplex._DEGENERATE_RUN
+
+
+def vertex_optimum(c, A, b):
+    """max c.x s.t. A x <= b, x >= 0 by enumerating bases; None if unbounded.
+
+    Each nonsingular m-column block B of [A | I] gives a primal basic
+    solution B^-1 b and a dual one y = B^-T c_B. The LP is bounded exactly
+    when some dual basic solution is feasible (A^T y >= c, y >= 0), and then
+    the best feasible primal and dual basic solutions have the same value.
+    """
+    m, n = A.shape
+    M, cz = np.hstack((A, np.eye(m))), np.concatenate((c, np.zeros(m)))
+    primal, dual = [], []
+    for idx in map(list, itertools.combinations(range(n + m), m)):
+        B = M[:, idx]
+        if abs(np.linalg.det(B)) < 0.5:  # integer data: a nonsingular B has |det| >= 1
+            continue
+        z, y = np.linalg.solve(B, b), np.linalg.solve(B.T, cz[idx])
+        if (z >= -1e-12).all():
+            primal.append(cz[idx] @ z)
+        if (M.T @ y >= cz - 1e-12).all():
+            dual.append(b @ y)
+    if not dual:
+        return None
+    assert max(primal) == pytest.approx(min(dual), abs=1e-9)
+    return max(primal)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matches_vertex_enumeration(seed):
+    # small integer LPs, so that ties, zeros in b and degenerate vertices are common
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        c = rng.integers(-2, 4, n).astype(float)
+        A = rng.integers(-1, 4, (m, n)).astype(float)
+        b = rng.integers(0, 3, m).astype(float)
+        best = vertex_optimum(c, A, b)
+        warm = Tableau(c[: n // 2], A[:, : n // 2], b)
+        warm.solve()
+        warm.add_columns(c[n // 2 :], A[:, n // 2 :])
+        for res in (Tableau(c, A, b).solve(), warm.solve()):
+            if best is None:
+                assert res.status == "unbounded", (seed, c, A, b)
+                continue
+            assert res.status == "optimal", (seed, c, A, b)
+            assert res.objective == pytest.approx(best, abs=1e-9)
+            # duals may not be unique at a degenerate optimum: they must be dual
+            # optimal, and the structural entries their reduced costs
+            y = res.reduced_costs[n:]
+            assert (y >= -1e-9).all() and b @ y == pytest.approx(best, abs=1e-9)
+            assert res.reduced_costs[:n] == pytest.approx(A.T @ y - c, abs=1e-9)
+            assert (res.reduced_costs[:n] >= -1e-9).all()
