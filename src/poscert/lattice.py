@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -113,9 +114,7 @@ class Lattice:
 
 
 def _cartan_gram(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[Fraction, ...], ...]:
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = Fraction(2)
+    g = [[Fraction(2 if i == j else 0) for j in range(n)] for i in range(n)]
     for i, j in edges:
         g[i][j] = g[j][i] = Fraction(-1)
     return tuple(tuple(row) for row in g)
@@ -173,7 +172,7 @@ def standard_lattice(name: str) -> Lattice:
         return Lattice(name, n, _cartan_gram(n, edges))
     if name == "Leech":
         return leech_lattice()
-    m = re.fullmatch(r"Z(\d+)", name)
+    m = re.fullmatch(r"Z(0|[1-9][0-9]*)", name)
     if m:
         k = int(m.group(1))
         if not 1 <= k <= MAX_Z_RANK:
@@ -432,18 +431,19 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
 def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors with v^T Gram v <= bound_sq, exactly.
 
-    Coordinates are with respect to the lattice basis. The 2m vectors are
-    sorted lexicographically, first coordinate most significant, and
-    positions i and 2m - 1 - i hold negatives of each other.
+    Returns a list of tuples of Python ints, coordinates with respect to the
+    lattice basis. The 2m vectors are sorted lexicographically, first coordinate
+    most significant, and positions i and 2m - 1 - i hold negatives of each other.
     """
     half, _ = _short_vectors_with_norms(lat, bound_sq)
-    # negation reverses the order and 0 is not in the set, so the list is L and
-    # then -L reversed, L holding each pair's member whose first nonzero entry is < 0
+    # in the narrowest signed type holding -1 - max|x|, negation cannot overflow; it
+    # reverses the order and 0 is not in the set, so the list is L and then -L
+    # reversed, L holding each pair's member whose first nonzero entry is < 0
+    half = half.astype(np.min_scalar_type(-1 - int(np.abs(half).max(initial=0))))
     half *= -np.sign(half[np.arange(len(half)), (half != 0).argmax(1)])[:, None]
-    # sort keys in the narrowest signed type holding -max|x| - 1, hence +max|x|
-    keys = half.T[::-1].astype(np.min_scalar_type(-1 - int(np.abs(half).max(initial=0))))
-    low = half[np.lexsort(keys)]
-    return list(zip(*np.concatenate([low, -low[::-1]]).T.tolist()))
+    low = half[np.lexsort(half.T[::-1])]
+    rows = np.concatenate([low, -low[::-1]])
+    return list(struct.iter_unpack(f"{lat.rank}{rows.dtype.char}", rows.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,8 @@ CONTRACT_CASES = [
     case(2, "lattice-Z0", ["lattice", "info", "--name", "Z0"]),
     case(0, "lattice-Z256", ["lattice", "info", "--name", "Z256"]),
     case(2, "lattice-Z257", ["lattice", "info", "--name", "Z257"]),
+    case(2, "lattice-Z01", ["lattice", "info", "--name", "Z01"]),
+    case(2, "lattice-Z-arabic-indic-3", ["lattice", "info", "--name", "Z\u0663"]),
     case(2, "lattice-unknown", ["lattice", "info", "--name", "Zork"]),
     case(0, "schur", ["schur", "verify", "--N", "3", "--degree", "4", "--trials", "2"]),
     case(2, "schur-N-0", ["schur", "verify", "--N", "0", "--degree", "4"]),

@@ -156,6 +156,17 @@ def test_unknown_name():
         standard_lattice("F4")
 
 
+@pytest.mark.parametrize("name", ["Z01", "Z00", "Z\u0663"])
+def test_z_rank_is_ascii_digits_without_leading_zeros(name):
+    with pytest.raises(KeyError):
+        standard_lattice(name)
+
+
+def test_z0_is_out_of_range_not_unknown():
+    with pytest.raises(ValueError, match="between 1 and 256, got 0"):
+        standard_lattice("Z0")
+
+
 def test_golay_code_basic():
     code = golay_code()
     assert code.length == 24
@@ -402,8 +413,12 @@ def test_short_vectors_canonical_order_on_large_shells(make, bound):
 
 @pytest.mark.parametrize("r", [127, 128, 129, 32767, 32768, 32769])
 def test_short_vectors_order_where_coordinates_leave_int8_and_int16(r):
+    # r = 127 ... 32769 takes the half-set through the int8, int16 and int32 widths
     expected = [(x,) for x in range(-r, r + 1) if x]
-    assert short_vectors(standard_lattice("Z1"), r * r) == sorted(expected)
+    sv = short_vectors(standard_lattice("Z1"), r * r)
+    assert sv == sorted(expected)
+    assert all(type(x) is int for v in sv for x in v)
+    assert json.loads(json.dumps(sv)) == [list(v) for v in expected]
 
 
 @pytest.mark.parametrize("k", [126, 127, 128])
