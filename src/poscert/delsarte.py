@@ -5,20 +5,12 @@ c_0 > 0, and f <= 0 on [-1, cos(psi)], then any set of unit vectors in
 R^n with pairwise angles >= psi has at most f(1)/c_0 elements. This
 module verifies such certificates with exact rational arithmetic
 (:func:`verify_certificate`), finds them with a float simplex LP whose
-solution one computed slack on c_0 makes exact (:func:`lp_bound`), and
-evaluates the classical packing-bound conversion formulas. The two
-published certificates that pin the kissing numbers k(8) = 240 and
+solution one computed slack on c_0 makes exact (:func:`lp_bound`). The
+two published certificates that pin the kissing numbers k(8) = 240 and
 k(24) = 196560 ship as named fixtures.
 
 Angles are carried by their cosine, exactly rational in every case of
 interest (cos pi/3 = 1/2, cos pi = -1).
-
-For reference (documented, not computed here): the Kabatiansky--
-Levenshtein asymptotic bound states that for psi below roughly 63
-degrees, n^{-1} log2 A(n, psi) <= -(1/2) log2(1 - cos psi) - 0.099 + o(1),
-which at psi = pi/3 gives the kissing-number growth bound
-2^{n(0.401 + o(1))}. Neither the 0.099 constant nor the validity window
-is derivable from the bound statement alone, so no routine evaluates it.
 """
 
 from __future__ import annotations
@@ -26,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, pi, sin
+from math import ceil
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,10 +26,8 @@ import numpy as np
 from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_values, to_gegenbauer_basis
 # Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
 from .gegenbauer import gegenbauer  # noqa: F401
-from .polycore import Interval, Poly, nonpositivity_witness, parse_rat, rat, rat_str
+from .polycore import Interval, Poly, nonpositivity_witness, rat, rat_str
 from .simplex import _TOL as _SIMPLEX_TOL, Tableau, simplex_max
-
-_ANGLE_TOL = 1e-12
 
 
 class CertificateRejection(Exception):
@@ -77,12 +67,6 @@ class BoundCertificate:
             "bound": rat_str(self.bound),
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "BoundCertificate":
-        return verify_certificate(
-            int(d["dim"]), parse_rat(d["cos_angle"]), Poly.from_strings(d["poly"])
-        )
-
 
 def verify_certificate(n: int, s, f: Poly) -> BoundCertificate:
     """Exactly check the certificate hypotheses and return the bound.
@@ -115,46 +99,6 @@ def verify_certificate(n: int, s, f: Poly) -> BoundCertificate:
             witness,
         )
     return BoundCertificate(n, s, f, coeffs, f(1) / c0)
-
-
-@dataclass(frozen=True)
-class SphericalCode:
-    """Finite set of unit vectors; min_cosine is the largest pairwise dot."""
-
-    dim: int
-    points: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have dimension {self.dim}")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.abs(norms - 1.0).max() > _ANGLE_TOL:
-            raise ValueError("all code points must be unit vectors (tol 1e-12)")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def min_cosine(self) -> float:
-        pts = np.asarray(self.points, dtype=float)
-        if len(pts) < 2:
-            return -1.0
-        gram = pts @ pts.T
-        return float((gram - 2.0 * np.eye(len(pts))).max())
-
-
-def code_upper_bound_check(code: SphericalCode, cert: BoundCertificate) -> bool:
-    """Soundness trial: a code respecting the certificate angle obeys the bound.
-
-    This is a randomized-test helper, never a proof: it merely compares
-    the code size with the certified bound after checking compatibility.
-    """
-    if code.dim != cert.dim:
-        raise ValueError(f"dimension mismatch: code {code.dim}, certificate {cert.dim}")
-    if code.min_cosine > float(cert.cos_angle) + _ANGLE_TOL:
-        raise ValueError("code does not respect the certificate angle")
-    return len(code) <= cert.bound
 
 
 @dataclass
@@ -243,48 +187,6 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
             slack, step = max(slack + step, ceil((top.max() + noise) * 2**32) * unit), step * 8
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
-
-
-def blichfeldt_density_bound(n: int) -> float:
-    """Upper bound (n+2)/2 * 2^{-n/2} on the packing density of R^n."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    return (n + 2) / 2 * 2 ** (-n / 2)
-
-
-def hermite_gamma_upper(n: int) -> float:
-    """Hermite's bound gamma_n <= (4/3)^{(n-1)/2}."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    return (4 / 3) ** ((n - 1) / 2)
-
-
-def cohn_zhao_density_bound(n: int, theta: float, code_bound: float) -> float:
-    """Cohn--Zhao conversion: density <= sin(theta/2)^n * A(n, theta).
-
-    The caller supplies the spherical-code bound A; theta must lie in
-    [pi/3, pi] for the conversion to be valid.
-    """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if not (pi / 3 - _ANGLE_TOL <= theta <= pi + _ANGLE_TOL):
-        raise ValueError("theta must lie in [pi/3, pi]")
-    return sin(theta / 2) ** n * code_bound
-
-
-def classical_upper_bounds(
-    n: int, theta: Optional[float] = None, code_bound: Optional[float] = None
-) -> dict:
-    """Report of the classical closed-form upper bounds for dimension n."""
-    out = {
-        "blichfeldt_density": blichfeldt_density_bound(n),
-        "hermite_gamma_upper": hermite_gamma_upper(n),
-    }
-    if theta is not None:
-        if code_bound is None:
-            raise ValueError("cohn_zhao point needs both theta and code_bound")
-        out["cohn_zhao"] = cohn_zhao_density_bound(n, theta, code_bound)
-    return out
 
 
 def _product_certificate(scale: Fraction, factors: Sequence[tuple[Fraction, int]]) -> Poly:

@@ -1,12 +1,10 @@
 """The entrywise calculus: f[A] = (f(a_ij)) and what it does to positivity.
 
 Floating-point companion to the exact modules: psd checking by full
-symmetric eigendecomposition, Schur products, entrywise polynomial /
-power / hard-threshold maps, structured Hankel and Toeplitz moment
-matrices, Vasudeva's 2x2 predicates, and the Euclidean / spherical metric
-embeddings driven by psd-ness of the (modified) Cayley--Menger matrix
-and of the entrywise cosine. Witnesses against fractional-power
-preservation are exact.
+symmetric eigendecomposition, Vasudeva's 2x2 predicates, and the
+Euclidean / spherical metric embeddings driven by psd-ness of the
+(modified) Cayley--Menger matrix and of the entrywise cosine. Witnesses
+against fractional-power preservation are exact.
 
 Every operation is pure and deterministic.
 """
@@ -72,68 +70,48 @@ def psd_check(a: Union[SymMatrix, np.ndarray], tol: Optional[float] = None) -> P
 
     The default tolerance is relative: 1e-10 times the largest absolute
     eigenvalue. ``rank`` counts eigenvalues above tol, and
-    is_psd <=> no eigenvalue below -tol.
+    is_psd <=> no eigenvalue below -tol. The signs are decided on a copy
+    scaled by 2^-e (see :func:`_scaled`), where no eigenvalue overflows;
+    a minimum eigenvalue or tolerance beyond the float range once scaled
+    back raises ValueError.
     """
     m = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if tol is not None and not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    m, e = _scaled(m)
     vals = np.linalg.eigvalsh(m)
-    if tol is None:
-        scale = float(np.abs(vals).max()) if vals.size else 0.0
-        tol = 1e-10 * scale
-    n_minus = int((vals < -tol).sum())
-    n_plus = int((vals > tol).sum())
+    with np.errstate(over="ignore"):  # a tolerance past the float range once scaled covers every eigenvalue
+        tol_e = 1e-10 * float(np.abs(vals).max(initial=0.0)) if tol is None else float(np.ldexp(tol, -e))
+    n_minus = int((vals < -tol_e).sum())
+    n_plus = int((vals > tol_e).sum())
     n_zero = len(vals) - n_minus - n_plus
+    try:
+        min_eigenvalue = math.ldexp(float(vals.min()), e) if vals.size else 0.0
+        tol = math.ldexp(tol_e, e) if tol is None else float(tol)
+    except OverflowError:
+        raise ValueError(f"the smallest eigenvalue, {float(vals.min())} x 2^{e}, or its tolerance "
+                         "is beyond the float range") from None
     return PsdReport(
         is_psd=n_minus == 0,
-        min_eigenvalue=float(vals.min()) if vals.size else 0.0,
+        min_eigenvalue=min_eigenvalue,
         rank=n_plus,
         inertia=(n_minus, n_zero, n_plus),
-        tol=float(tol),
+        tol=tol,
     )
 
 
-def schur_product(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    """Entrywise (Schur) product; preserves psd-ness."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return SymMatrix(a.n, a.entries * b.entries)
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m 2^-e, e) for the even e that puts max |m_ij| in [1/4, 1).
 
-
-def entrywise_poly(a: SymMatrix, coeffs: Sequence[float]) -> SymMatrix:
-    vals = np.polynomial.polynomial.polyval(a.entries, np.asarray(coeffs, dtype=float))
-    return SymMatrix(a.n, vals)
-
-
-def entrywise_power(a: SymMatrix, alpha: float) -> SymMatrix:
-    """Entrywise a_ij^alpha; fractional alpha demands positive entries."""
-    if alpha != int(alpha) or alpha < 0:
-        if (a.entries <= 0).any():
-            raise ValueError("fractional power needs strictly positive entries")
-    return SymMatrix(a.n, np.power(a.entries, alpha))
-
-
-def entrywise_threshold(a: SymMatrix, level: float) -> SymMatrix:
-    """Hard-threshold: zero out entries with |a_ij| < level."""
-    if level < 0:
-        raise ValueError("threshold level must be >= 0")
-    out = np.where(np.abs(a.entries) < level, 0.0, a.entries)
-    return SymMatrix(a.n, out)
-
-
-def apply_entrywise(spec: tuple, a: SymMatrix) -> SymMatrix:
-    """Dispatch an entrywise map given as ("poly", coeffs) / ("power", alpha)
-    / ("threshold", level)."""
-    kind, param = spec
-    if kind == "poly":
-        return entrywise_poly(a, param)
-    if kind == "power":
-        return entrywise_power(a, float(param))
-    if kind == "threshold":
-        return entrywise_threshold(a, float(param))
-    raise ValueError(f"unknown entrywise map kind: {kind!r}")
+    Exact but for entries that become subnormal, 2^1022 times smaller than
+    the largest; an n x n symmetric copy has no eigenvalue beyond n, so none
+    overflows, and e even makes sqrt of an eigenvalue scale by 2^(e/2).
+    """
+    e = int(np.frexp(np.abs(m).max(initial=0.0))[1])
+    e += e % 2
+    return np.ldexp(m, -e), e
 
 
 MAX_WITNESS_BLOCK = 40  # rows; README ("CLI") has the timings behind this limit
@@ -196,52 +174,6 @@ def power_preserver_witness(n: int, alpha: Union[int, float, str, Fraction]) -> 
     raise RuntimeError(f"no witness for power {alpha} at n = {n} within {bits} bits")
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finitely many positive point masses."""
-
-    atoms: tuple[tuple[float, float], ...]  # (location, mass)
-
-    def __post_init__(self):
-        locs = [a[0] for a in self.atoms]
-        if len(set(locs)) != len(locs):
-            raise ValueError("atom locations must be distinct")
-        if any(mass <= 0 for _, mass in self.atoms):
-            raise ValueError("atom masses must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [[loc, mass] for loc, mass in self.atoms]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "AtomicMeasure":
-        return AtomicMeasure(tuple((float(l), float(m)) for l, m in d["atoms"]))
-
-
-def moment_matrix(kind: str, measure: AtomicMeasure, size: int) -> SymMatrix:
-    """Hankel (s_{i+j}) or Toeplitz (c_{i-j}) moment matrix of a measure.
-
-    hankel: H_ij = sum_a mass_a loc_a^{i+j}, the moment matrix of a
-    measure on the line; psd of rank = number of atoms (generically).
-    toeplitz: T_ij = sum_a mass_a cos((i-j) loc_a), atom locations read
-    as angles in [0, pi]; the real symmetric Fourier--Stieltjes matrix.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if not measure.atoms:
-        raise ValueError("measure must have at least one atom")
-    idx = np.arange(size)
-    out = np.zeros((size, size))
-    if kind == "hankel":
-        for loc, mass in measure.atoms:
-            out += mass * np.power(loc, idx[:, None] + idx[None, :])
-    elif kind == "toeplitz":
-        for loc, mass in measure.atoms:
-            out += mass * np.cos((idx[:, None] - idx[None, :]) * loc)
-    else:
-        raise ValueError(f"unknown moment matrix kind: {kind!r}")
-    return SymMatrix(size, out)
-
-
 class DistanceMatrix:
     """Metric data on points x_0..x_n: symmetric, zero diagonal, positive
     off-diagonal. The triangle inequality is not checked -- embedding
@@ -284,18 +216,19 @@ class DiameterError(ValueError):
 
 def _pinned_coordinates(gram: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     # Reproducible coordinates: eigenvalues descending, each eigenvector's
-    # first nonzero component made positive.
+    # first nonzero component made positive. Decided on the scaled copy, as in psd_check.
+    gram, e = _scaled(gram)
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    r = int((vals > tol).sum())
+    r = int((vals > math.ldexp(tol, -e)).sum())
     vals, vecs = vals[:r], vecs[:, :r]
     for j in range(r):
         col = vecs[:, j]
         nz = np.nonzero(np.abs(col) > _EIG_SIGN_TOL)[0]
         if nz.size and col[nz[0]] < 0:
             vecs[:, j] = -col
-    return vecs * np.sqrt(vals)[None, :], r
+    return vecs * np.ldexp(np.sqrt(vals), e // 2)[None, :], r
 
 
 def modified_cayley_menger(d: DistanceMatrix) -> SymMatrix:

@@ -101,14 +101,6 @@ class Lattice:
     def covolume_sq(self) -> Fraction:
         return Fraction(self._pivot_rows[-1][0], self._scale**self.rank)
 
-    def embed(self, coords: Sequence[Sequence[int]]) -> np.ndarray:
-        """Map basis-coordinate vectors to floating ambient coordinates."""
-        if self.basis_rows is None:
-            raise ValueError(f"lattice {self.name} carries no explicit basis")
-        b = np.array([[float(x) for x in row] for row in self.basis_rows])
-        b /= math.sqrt(float(self.basis_scale_sq))
-        return np.asarray(coords, dtype=float) @ b
-
     def gram_json(self) -> list[list[str]]:
         return [[rat_str(x) for x in row] for row in self.gram]
 
@@ -187,21 +179,6 @@ def standard_lattice(name: str) -> Lattice:
 # ---------------------------------------------------------------------------
 # binary codes
 
-HAMMING_EXAMPLE_CODEWORDS = (
-    (1, 1, 0, 1, 0, 0, 0),
-    (0, 1, 1, 0, 1, 0, 0),
-    (0, 0, 1, 1, 0, 1, 0),
-    (0, 0, 0, 1, 1, 0, 1),
-)
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of coordinates where the two words differ."""
-    if len(a) != len(b):
-        raise ValueError("words must have equal length")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 class BinaryCode:
     """Binary linear code spanned by generator rows (words as bitmasks)."""
 
@@ -224,11 +201,6 @@ class BinaryCode:
 
     def word_tuple(self, word: int) -> tuple[int, ...]:
         return tuple((word >> i) & 1 for i in range(self.length))
-
-
-def min_weight(code: BinaryCode) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by enumeration."""
-    return min(w.bit_count() for w in code.words if w)
 
 
 @lru_cache(maxsize=1)

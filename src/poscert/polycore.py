@@ -107,11 +107,6 @@ class Poly:
     def constant(c: RationalLike) -> "Poly":
         return Poly([rat(c)])
 
-    @staticmethod
-    def identity() -> "Poly":
-        """The polynomial t."""
-        return Poly([0, 1])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

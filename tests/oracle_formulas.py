@@ -1,0 +1,125 @@
+"""Independent oracles the tests compare poscert's fast paths against.
+
+The Gegenbauer polynomials from their generating function (against the
+integer three-term recurrence), exact inner products under the weight
+moments (orthogonality), the psd-ness of entrywise G_k images of unit
+Gram matrices, the spherical-harmonic dimension count, and the closed
+form of the Jacobi normalization (against ``to_jacobi_basis``'s running
+product). None of it is on a command's path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial, prod
+from typing import Sequence
+
+import numpy as np
+
+from poscert.gegenbauer import _check_dim, gegenbauer_values, normalized_moment
+from poscert.polycore import Poly
+
+_UNIT_NORM_TOL = 1e-12
+
+
+def _binom_rational(alpha: Fraction, m: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(m):
+        out *= alpha - i
+        out /= i + 1
+    return out
+
+
+def gegenbauer_via_generating_series(n: int, kmax: int) -> list[Poly]:
+    """Unnormalized C_k^{(n)} from the generating function, term by term.
+
+    For n >= 3 this expands (1 - 2rt + r^2)^{(2-n)/2} as a binomial series
+    with rational exponent; the coefficient of r^k collects contributions
+    from (r^2 - 2rt)^m for ceil(k/2) <= m <= k. For n = 2 the rational
+    generating function (1 - rt)/(1 - 2rt + r^2) is expanded instead, and
+    its coefficients are already the normalized G_k^{(2)}.
+    """
+    _check_dim(n)
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    if n == 2:
+        # S_k = coefficient of r^k in 1/(1 - 2rt + r^2); then G_k = S_k - t S_{k-1}.
+        def s_poly(k: int) -> Poly:
+            coeffs = [Fraction(0)] * (k + 1)
+            for m in range((k + 1) // 2, k + 1):
+                j = k - m
+                deg = 2 * m - k
+                coeffs[deg] += comb(m, j) * Fraction(-1) ** j * Fraction(2) ** deg
+            return Poly(coeffs)
+
+        out = [Poly.constant(1)]
+        t = Poly([0, 1])
+        prev = out[0]
+        for k in range(1, kmax + 1):
+            cur = s_poly(k)
+            out.append(cur - t * prev)
+            prev = cur
+        return out
+
+    alpha = Fraction(2 - n, 2)
+    out = []
+    for k in range(kmax + 1):
+        coeffs = [Fraction(0)] * (k + 1)
+        for m in range((k + 1) // 2, k + 1):
+            j = k - m
+            deg = 2 * m - k
+            coeffs[deg] += _binom_rational(alpha, m) * comb(m, j) * Fraction(-2) ** deg
+        out.append(Poly(coeffs))
+    return out
+
+
+def jacobi_normalization_factor(n: int, k: int) -> Fraction:
+    """Value at t = 1 of the Jacobi-normalized degree-k Gegenbauer polynomial.
+
+    The classical kissing-number tables expand against P_k^{(a,a)} with a =
+    (n-3)/2, whose value at 1 is binom(k + a, k) = prod_{i<=k} (2i+n-3)/(2i);
+    dividing the G_k(1) = 1 coefficients by it recovers the tabulated ones.
+    """
+    _check_dim(n)
+    return Fraction(prod(range(n - 1, 2 * k + n - 2, 2)), 2 ** k * factorial(k))
+
+
+def dim_spherical_harmonics(n: int, k: int) -> int:
+    """N(n,k) = C(k+n-2, k) + C(k+n-3, k-1), with the k=0 second term 0."""
+    _check_dim(n)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    second = comb(k + n - 3, k - 1) if k >= 1 else 0
+    return comb(k + n - 2, k) + second
+
+
+def inner_product_normalized(n: int, p: Poly, q: Poly) -> Fraction:
+    """<p, q> under the normalized orthogonality weight, exact."""
+    _check_dim(n)
+    out = Fraction(0)
+    for i, a in enumerate(p.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(q.coeffs):
+            if b:
+                out += a * b * normalized_moment(n, i + j)
+    return out
+
+
+def gegenbauer_gram_check(n: int, k: int, points: Sequence[Sequence[float]]) -> float:
+    """Minimum eigenvalue of (G_k^{(n)}(<xi_i, xi_j>))_{ij} for unit points.
+
+    Floating-point companion to the exact machinery: the entrywise G_k
+    image of a Gram matrix of unit vectors is positive semidefinite, so
+    callers assert the returned value >= -tol.
+    """
+    _check_dim(n)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points must be an (N, {n}) array")
+    norms = np.linalg.norm(pts, axis=1)
+    bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
+    if bad.any():
+        raise ValueError(f"point {int(np.argmax(bad))} is not on the unit sphere")
+    vals = gegenbauer_values(n, k, pts @ pts.T)[k]
+    return float(np.linalg.eigvalsh(vals).min())

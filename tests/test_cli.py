@@ -281,6 +281,9 @@ CONTRACT_CASES = [
     case(0, "psd", ["check", "psd", "FILE"], {"rows": [[2, 1], [1, 2]]}),
     case(1, "not-psd", ["check", "psd", "FILE"], {"rows": [[1, 2], [2, 1]]}),
     case(0, "psd-1e308-diagonal", ["check", "psd", "FILE"], {"rows": [[1e308, 0], [0, 1]]}),
+    case(1, "psd-eigenvalue-overflow", ["check", "psd", "FILE"],  # eigenvalues 3.4e308 (twice), -1.7e308
+         {"rows": [[1.7e308, 1.7e308, 1.7e308], [1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308]]}),
+    case(2, "psd-min-eigenvalue-overflow", ["check", "psd", "FILE"], {"rows": [[-1.7e308] * 2] * 2}),
     case(2, "psd-tol-negative", ["check", "psd", "FILE", "--tol", "-1"], {"rows": [[1, 2], [2, 1]]}),
     case(2, "psd-nan", ["check", "psd", "FILE"], {"rows": [[1, NAN], [NAN, 1]]}),
     case(2, "psd-inf", ["check", "psd", "FILE"], {"rows": [[1, INF], [INF, 1]]}),

@@ -6,21 +6,14 @@ import pytest
 
 from poscert import delsarte
 from poscert.delsarte import (
-    BoundCertificate,
     CertificateRejection,
     LpInfeasible,
-    SphericalCode,
-    blichfeldt_density_bound,
-    classical_upper_bounds,
-    code_upper_bound_check,
-    cohn_zhao_density_bound,
-    hermite_gamma_upper,
     known_certificate,
     lp_bound,
     verify_certificate,
 )
 from poscert.gegenbauer import gegenbauer_values
-from poscert.polycore import Poly
+from poscert.polycore import Poly, parse_rat
 from poscert.simplex import Tableau
 
 
@@ -72,7 +65,7 @@ def test_certificate_json_round_trip():
     d = c.to_json_dict()
     assert d["bound"] == "240"
     assert d["cos_angle"] == "1/2"
-    back = BoundCertificate.from_json_dict(d)
+    back = verify_certificate(d["dim"], parse_rat(d["cos_angle"]), Poly.from_strings(d["poly"]))
     assert back.bound == c.bound
     assert back.coeffs == c.coeffs
 
@@ -276,14 +269,12 @@ def test_lp_bound_deterministic():
     assert a.certificate.bound == b.certificate.bound
 
 
-def spherical_code(points):
+def code_within_bound(points, cert) -> bool:
+    # unit vectors in cert.dim dimensions whose pairwise cosines respect cert's angle
     pts = np.asarray(points, dtype=float)
-    return SphericalCode(pts.shape[1], tuple(map(tuple, pts)))
-
-
-def square_code():
-    pts = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    return spherical_code(pts)
+    assert pts.shape[1] == cert.dim and np.abs(np.linalg.norm(pts, axis=1) - 1).max() <= 1e-12
+    assert (pts @ pts.T - 2 * np.eye(len(pts))).max() <= float(cert.cos_angle) + 1e-12
+    return len(pts) <= cert.bound
 
 
 def right_angle_certificate():
@@ -294,43 +285,29 @@ def right_angle_certificate():
 
 def test_code_upper_bound_trivial_pair():
     cert = verify_certificate(3, Q(-1), Poly([1, 1]))
-    code = spherical_code(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
-    assert code_upper_bound_check(code, cert)
+    assert code_within_bound([[1.0, 0, 0], [-1.0, 0, 0]], cert)
 
 
 def test_code_upper_bound_square():
     cert = right_angle_certificate()
     assert cert.bound == 4
-    assert code_upper_bound_check(square_code(), cert)
+    assert code_within_bound([[1, 0], [0, 1], [-1, 0], [0, -1]], cert)
 
 
 def test_code_upper_bound_e8_equality():
+    # E8's minimal vectors have norm 2, so x/sqrt(2) and y/sqrt(2) have cosine x G y / 2
     from poscert.lattice import e8_coordinate_lattice, short_vectors
 
     lat = e8_coordinate_lattice()
-    coords = short_vectors(lat, 2)
+    coords = np.array(short_vectors(lat, 2))
     assert len(coords) == 240
-    pts = lat.embed(coords) / math.sqrt(2.0)
-    code = spherical_code(pts)
-    assert code.min_cosine <= 0.5 + 1e-12
+    assert all(x.denominator == 1 for row in lat.gram for x in row)
+    products = coords @ np.array([[x.numerator for x in row] for row in lat.gram]) @ coords.T
+    assert (np.diag(products) == 2).all()
     cert = known_certificate("paper-8")
-    assert code_upper_bound_check(code, cert)
-    assert len(code) == cert.bound == 240
-
-
-def test_code_upper_bound_mismatches():
-    cert = known_certificate("paper-8")
-    code3 = spherical_code(np.eye(3))
-    with pytest.raises(ValueError):
-        code_upper_bound_check(code3, cert)
-    tight = spherical_code(np.array([[1.0, 0], [0.9, math.sqrt(1 - 0.81)]]))
-    with pytest.raises(ValueError):
-        code_upper_bound_check(tight, right_angle_certificate())
-
-
-def test_code_validation():
-    with pytest.raises(ValueError):
-        spherical_code(np.array([[1.0, 1.0]]))
+    assert lat.rank == cert.dim
+    assert Q(int(products[~np.eye(240, dtype=bool)].max()), 2) <= cert.cos_angle == Q(1, 2)
+    assert len(coords) == cert.bound == 240
 
 
 def test_certificate_soundness_randomized():
@@ -354,18 +331,4 @@ def test_certificate_soundness_randomized():
             for cand in cands:
                 if not pts or (np.asarray(pts) @ cand).max() <= s + 1e-12:
                     pts.append(cand)
-        code = spherical_code(np.array(pts))
-        assert code_upper_bound_check(code, cert)
-
-
-def test_classical_bounds():
-    assert blichfeldt_density_bound(8) == pytest.approx(0.3125)
-    assert hermite_gamma_upper(8) == pytest.approx((4 / 3) ** 3.5)
-    assert hermite_gamma_upper(8) > 2.0  # strictly above the true gamma_8
-    assert cohn_zhao_density_bound(8, math.pi / 3, 240) == pytest.approx(0.9375)
-    with pytest.raises(ValueError):
-        cohn_zhao_density_bound(8, 0.5, 240)
-    rep = classical_upper_bounds(8, theta=math.pi / 3, code_bound=240)
-    assert rep["cohn_zhao"] == pytest.approx(0.9375)
-    rep = classical_upper_bounds(4)
-    assert "cohn_zhao" not in rep
+        assert code_within_bound(pts, cert)

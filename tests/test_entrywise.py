@@ -8,20 +8,14 @@ import numpy as np
 import pytest
 
 from poscert.entrywise import (
-    AtomicMeasure,
     DiameterError,
     DistanceMatrix,
     SymMatrix,
     _iroot,
-    apply_entrywise,
-    entrywise_power,
-    entrywise_threshold,
     euclidean_embed,
     modified_cayley_menger,
-    moment_matrix,
     power_preserver_witness,
     psd_check,
-    schur_product,
     sphere_embed,
     vasudeva_2x2_check,
 )
@@ -79,11 +73,6 @@ def test_gram_matrix_rank_matches_span():
         assert rep.rank == min(n, r)
 
 
-def test_atomic_measure_json_round_trip():
-    m = AtomicMeasure(((0.5, 1.0), (2.0, 0.25)))
-    assert AtomicMeasure.from_json_dict(m.to_json_dict()) == m
-
-
 def test_symmetry_validation():
     with pytest.raises(ValueError):
         SymMatrix.from_rows([[1, 2], [2.1, 1]])
@@ -91,23 +80,12 @@ def test_symmetry_validation():
     assert np.array_equal(m.entries, m.entries.T)
 
 
-def test_schur_identities():
-    rng = np.random.default_rng(0)
-    a = random_psd(4, rng)
-    ones = SymMatrix.from_rows(np.ones((4, 4)))
-    assert np.allclose(schur_product(a, ones).entries, a.entries)
-    eye = SymMatrix.from_rows(np.eye(4))
-    assert np.allclose(schur_product(a, eye).entries, np.diag(np.diag(a.entries)))
-    with pytest.raises(ValueError):
-        schur_product(a, SymMatrix.from_rows(np.eye(3)))
-
-
 def test_schur_closure_trials():
     rng = np.random.default_rng(1)
     for _ in range(100):
         n = int(rng.integers(2, 13))
         a, b = random_psd(n, rng), random_psd(n, rng)
-        rep = psd_check(schur_product(a, b))
+        rep = psd_check(SymMatrix(n, a.entries * b.entries))
         assert rep.min_eigenvalue >= -1e-8
 
 
@@ -119,40 +97,8 @@ def test_nonneg_poly_preserves_psd():
         d = np.sqrt(np.maximum(np.diag(a.entries), 1e-9))
         corr = SymMatrix(n, a.entries / np.outer(d, d))
         coeffs = rng.uniform(0, 1, size=int(rng.integers(1, 6)))
-        out = apply_entrywise(("poly", coeffs.tolist()), corr)
+        out = SymMatrix(n, np.polynomial.polynomial.polyval(corr.entries, coeffs))
         assert psd_check(out).min_eigenvalue >= -1e-8
-
-
-def test_apply_entrywise_examples():
-    rho = 0.3
-    a = SymMatrix.from_rows([[1, rho], [rho, 1]])
-    sq = apply_entrywise(("poly", [0.0, 0.0, 1.0]), a)
-    assert np.allclose(sq.entries, [[1, rho**2], [rho**2, 1]])
-    # the covariance-regularization example: threshold at 0.05 zeroes the
-    # (1,3)/(3,1) entries and nothing else
-    sample = SymMatrix.from_rows(
-        [[0.95, 0.18, 0.02], [0.18, 0.96, 0.47], [0.02, 0.47, 0.98]]
-    )
-    th = apply_entrywise(("threshold", 0.05), sample)
-    expected = np.array([[0.95, 0.18, 0.0], [0.18, 0.96, 0.47], [0.0, 0.47, 0.98]])
-    assert np.array_equal(th.entries, expected)
-
-
-def test_entrywise_power_domain():
-    a = SymMatrix.from_rows([[1.0, -0.5], [-0.5, 1.0]])
-    with pytest.raises(ValueError):
-        entrywise_power(a, 0.5)
-    # nonnegative integer powers are fine on any entries
-    out = entrywise_power(a, 2)
-    assert np.allclose(out.entries, [[1, 0.25], [0.25, 1]])
-
-
-def test_threshold_validation():
-    a = SymMatrix.from_rows(np.eye(2))
-    with pytest.raises(ValueError):
-        entrywise_threshold(a, -0.1)
-    with pytest.raises(ValueError):
-        apply_entrywise(("nope", 1), a)
 
 
 def test_power_witness_explicit_matrix():
@@ -243,48 +189,6 @@ def test_power_witness_reads_the_power_exactly():
         power_preserver_witness(5, 1 / 3)  # read as 3333333333333333/10^16
 
 
-def test_moment_matrix_hankel():
-    m = moment_matrix("hankel", AtomicMeasure(((1.0, 1.0),)), 3)
-    rep = psd_check(m)
-    assert np.array_equal(m.entries, np.ones((3, 3)))
-    assert rep.is_psd and rep.rank == 1
-    m2 = moment_matrix("hankel", AtomicMeasure(((1.0, 1.0), (2.0, 1.0))), 3)
-    assert np.array_equal(m2.entries, [[2, 3, 5], [3, 5, 9], [5, 9, 17]])
-    rep2 = psd_check(m2)
-    assert rep2.is_psd and rep2.rank == 2
-
-
-def test_moment_matrix_toeplitz():
-    m = moment_matrix("toeplitz", AtomicMeasure(((0.0, 1.0),)), 4)
-    assert np.array_equal(m.entries, np.ones((4, 4)))
-    rep = psd_check(m)
-    assert rep.is_psd and rep.rank == 1
-    mt = moment_matrix("toeplitz", AtomicMeasure(((0.7, 1.0), (2.1, 0.5))), 5)
-    rep = psd_check(mt)
-    assert rep.is_psd and rep.rank == min(5, 4)  # two atoms, cos/sin pair each
-
-
-def test_moment_matrix_rank_counts_atoms():
-    rng = np.random.default_rng(3)
-    for n_atoms in (1, 2, 3):
-        atoms = tuple((float(x), 1.0) for x in rng.uniform(0.5, 3.0, n_atoms))
-        m = moment_matrix("hankel", AtomicMeasure(atoms), 5)
-        rep = psd_check(m)
-        assert rep.is_psd
-        assert rep.rank == min(5, n_atoms)
-
-
-def test_moment_matrix_validation():
-    with pytest.raises(ValueError):
-        moment_matrix("hankel", AtomicMeasure(()), 3)
-    with pytest.raises(ValueError):
-        AtomicMeasure(((1.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(ValueError):
-        AtomicMeasure(((1.0, 0.0),))
-    with pytest.raises(ValueError):
-        moment_matrix("weird", AtomicMeasure(((1.0, 1.0),)), 3)
-
-
 def test_cayley_menger_collinear():
     d = DistanceMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert np.array_equal(modified_cayley_menger(d).entries, [[2, 4], [4, 8]])
@@ -305,6 +209,15 @@ def test_euclidean_embed_star_fails():
     res = euclidean_embed(d)
     assert not res.embeddable
     assert res.witness_eigenvalue == pytest.approx(-2.0)
+
+
+def test_euclidean_embed_simplex_whose_eigenvalue_overflows():
+    # CM' of the regular simplex with edge 9e153 has the eigenvalue 3.24e308
+    d = DistanceMatrix([[0 if i == j else 9e153 for j in range(4)] for i in range(4)])
+    res = euclidean_embed(d)
+    assert res.embeddable and res.dim == 3
+    back = np.linalg.norm(res.points[:, None] - res.points[None, :], axis=2)
+    assert np.abs(back - d.dists).max() < 1e-8 * 9e153
 
 
 def test_euclidean_round_trip_random():

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from poscert.gegenbauer import (
-    dim_spherical_harmonics,
+    GegenbauerCoeffs,
     expand_gegenbauer,
     gegenbauer,
-    gegenbauer_gram_check,
     gegenbauer_values,
-    gegenbauer_via_generating_series,
-    inner_product_normalized,
-    jacobi_normalization_factor,
     normalized_moment,
     to_gegenbauer_basis,
     to_jacobi_basis,
 )
 from poscert.polycore import Poly
+from oracle_formulas import (
+    dim_spherical_harmonics,
+    gegenbauer_gram_check,
+    gegenbauer_via_generating_series,
+    inner_product_normalized,
+    jacobi_normalization_factor,
+)
 
 # the package exports the function gegenbauer under the submodule's name
 gegenbauer_module = importlib.import_module("poscert.gegenbauer")
@@ -178,6 +181,15 @@ def test_jacobi_normalization_factor_is_binomial():
         for k in range(41):
             assert jacobi_normalization_factor(n, k) == binom
             binom = binom * (a + k + 1) / (k + 1)
+
+
+def test_jacobi_basis_matches_the_closed_form():
+    # to_jacobi_basis's running product against the closed form, term by term
+    rng = random.Random(24)
+    for n in (3, 8, 24):
+        c = [Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(201)]
+        got = to_jacobi_basis(GegenbauerCoeffs(n, tuple(c))).coeffs
+        assert got == tuple(ck / jacobi_normalization_factor(n, k) for k, ck in enumerate(c))
 
 
 def test_spherical_harmonic_dimensions():
