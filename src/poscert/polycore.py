@@ -54,20 +54,30 @@ def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def bareiss_steps(rows: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
-    """Fraction-free elimination (Bareiss 1968) of a square integer matrix.
+def bareiss_step(rows: list[list[int]], col: int, prev: int) -> Optional[tuple[int, list[int], list[list[int]]]]:
+    """One fraction-free step (Bareiss 1968) on column ``col``, or None if it is zero.
 
-    Each step yields the index, among the rows left, of the first one with a
-    nonzero leading entry (the step's lead), and that row; the others become
-    their 2 x 2 minors with it, divided exactly by the previous lead. Stops
-    early when every leading entry left is zero.
+    Returns the index of the first row nonzero there (the step's lead), that row, and the
+    others as their 2 x 2 minors with it right of ``col``, divided exactly by ``prev``,
+    the last step's lead entry (1 at the first step).
+    """
+    piv = next((i for i, r in enumerate(rows) if r[col]), None)
+    if piv is None:
+        return None
+    top, c = rows[piv], col + 1
+    return piv, top, [[(top[col] * x - r[col] * y) // prev for x, y in zip(r[c:], top[c:])]
+                      for k, r in enumerate(rows) if k != piv]
+
+
+def bareiss_steps(rows: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """Fraction-free elimination of a square integer matrix, one :func:`bareiss_step` per column.
+
+    Each step yields its lead's index among the rows left, and that row; stops at a zero column.
     """
     prev = 1
-    while rows and (piv := next((i for i, r in enumerate(rows) if r[0]), None)) is not None:
-        top = rows[piv]
+    while rows and (step := bareiss_step(rows, 0, prev)):
+        piv, top, rows = step
         yield piv, top
-        rows = [[(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
-                for k, r in enumerate(rows) if k != piv]
         prev = top[0]
 
 

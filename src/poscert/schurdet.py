@@ -8,13 +8,14 @@ length N, the determinant Delta(t) = det f[t u v^T] expands as
 
 with V the Vandermonde product prod_{i<j} (u_i - u_j) and s_n the Schur
 polynomial evaluated through the bialternant det(x_i^{n_j}) / V(x).
-Both sides are computed here independently and exactly, so each serves
-as an oracle for the other. The left is Berkowitz's division-free
-determinant (Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}); it
-takes O(N^4) series products. The right sums det(u_i^{n_j}) det(v_i^{n_j}),
-which is V(u) s_n(u) V(v) s_n(v), over the light tuples. Both run in
-integers: one front end clears the denominators of f, u and v once, and
-each side divides its weight-M coefficient by the same (d_u d_v)^M d_f^N.
+Both sides are computed here independently and exactly, so each serves as an
+oracle for the other. The left is Berkowitz's division-free determinant
+(Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}); it takes O(N^4) series
+products. The right sums det(u_i^{n_j}) det(v_i^{n_j}), which is V(u) s_n(u)
+V(v) s_n(v), over the light tuples, walked depth first: tuples with a common
+prefix share its fraction-free (Bareiss) elimination steps. Both run in
+integers: one front end clears the denominators of f, u and v once, and each
+side divides its weight-M coefficient by the same (d_u d_v)^M d_f^N.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .polycore import RationalLike, clear_denominators, det_exact, rat
+from .polycore import RationalLike, bareiss_step, clear_denominators, det_exact, rat
 
 
 def validate_strict_tuple(tpl: Sequence[int]) -> tuple[int, ...]:
@@ -150,22 +151,6 @@ def det_series_direct(
     return TruncatedSeries.make(cutoff, list(map(Fraction, det, divisors)))
 
 
-def _light_tuples(support: Sequence[int], n: int, cutoff: int):
-    """(tuple, weight) of the increasing n-tuples from the sorted support, weight <= cutoff."""
-    pre = list(accumulate(support, initial=0))
-
-    def grow(start, left, tpl, weight):
-        if not left:
-            yield tpl, weight
-            return
-        for i in range(start, len(support) - left + 1):
-            if weight + pre[i + left] - pre[i] > cutoff:
-                return
-            yield from grow(i + 1, left - 1, tpl + (support[i],), weight + support[i])
-
-    return grow(0, n, (), 0)
-
-
 def det_series_formula(
     f_coeffs: Sequence[RationalLike],
     u: Sequence[RationalLike],
@@ -175,16 +160,31 @@ def det_series_formula(
     """Right side: the Vandermonde-weighted Schur-polynomial expansion.
 
     V(u) s_n(u) is det(u_i^{n_j}), and the tuple's order cancels between
-    the u and v determinants. Tuples come from the support of f, a branch
-    stopping once its weight plus its lightest completion exceeds cutoff.
+    the u and v determinants. Tuples from the support of f are walked depth
+    first, a branch stopping once its weight plus its lightest completion
+    exceeds cutoff; each exponent chosen is one fraction-free step on its
+    column, shared by every tuple with that prefix.
     """
     g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
     n = len(a)
     if len(set(a)) != n or len(set(b)) != n:
         raise ValueError("u and v entries must be pairwise distinct")
-    pows = [[[x**m for m in range(len(g))] for x in xs] for xs in (a, b)]
-    out = [0] * (cutoff + 1)
-    for tpl, m in _light_tuples([e for e, ge in enumerate(g) if ge], n, cutoff):
-        da, db = (det_exact([[row[e] for e in tpl] for row in p]) for p in pows)
-        out[m] += da.numerator * db.numerator * prod(g[e] for e in tpl)
+    support = [e for e, ge in enumerate(g) if ge]
+    pre = list(accumulate(support, initial=0))
+    out = [int(not n)] + [0] * cutoff  # N = 0: the empty determinant, 1
+
+    def walk(start, left, weight, coef, sides):
+        # sides: (rows left over support[start:], last lead) per vector; coef: prod g, signed
+        for i in range(start, len(support) - left + 1):
+            if weight + pre[i + left] - pre[i] > cutoff:
+                return
+            j, c = i - start, coef * g[support[i]]
+            if left == 1:
+                out[weight + support[i]] += c * prod(rows[0][j] for rows, _ in sides)
+            elif all(steps := [bareiss_step(rows, j, prev) for rows, prev in sides]):  # else all zero below
+                walk(i + 1, left - 1, weight + support[i], c * (-1) ** sum(s[0] for s in steps),
+                     [(rest, top[j]) for _, top, rest in steps])
+
+    if n:
+        walk(0, n, 0, 1, [([[x**e for e in support] for x in xs], 1) for xs in (a, b)])
     return TruncatedSeries.make(cutoff, list(map(Fraction, out, divisors)))

@@ -249,25 +249,97 @@ def _light_subset_count(exponents, n, cutoff):
     return sum(count[n])
 
 
-def test_formula_takes_two_determinants_per_light_tuple(monkeypatch):
+def _light_tuples(exponents, n, cutoff):
+    # the n-subsets of weight <= cutoff; an exponent above cutoff - C(n-1, 2)
+    # is in none, since the other n - 1 weigh at least 0 + 1 + ... + (n - 2)
+    usable = [e for e in exponents if e <= cutoff - (n - 1) * (n - 2) // 2]
+    return [c for c in combinations(usable, n) if sum(c) <= cutoff]
+
+
+def test_formula_takes_one_step_per_side_per_light_prefix(monkeypatch):
     # N = 12 with a dense degree-24 f, as `schur verify --N 12 --degree 24`:
-    # only the tuples of weight <= cutoff cost determinants
-    calls, det_exact = [], schurdet.det_exact
+    # only the proper prefixes of the tuples of weight <= cutoff cost
+    # elimination steps, one per side, and no tuple costs a determinant
+    calls, bareiss_step = [], schurdet.bareiss_step
 
-    def counting(mat):
-        calls.append(len(mat))
-        return det_exact(mat)
+    def counting(rows, col, prev):
+        calls.append(len(rows))
+        return bareiss_step(rows, col, prev)
 
-    monkeypatch.setattr(schurdet, "det_exact", counting)
+    def no_determinant(mat):
+        raise AssertionError("a determinant per tuple")
+
+    monkeypatch.setattr(schurdet, "bareiss_step", counting)
     rng = random.Random(12)
     n, cut = 12, 12 * 11 // 2 + 6
-    u, v = rng.sample(range(-8, 9), n), rng.sample(range(-8, 9), n)
     fc = [rng.choice((-2, -1, 1, 2)) for _ in range(25)]
-    det_series_formula(fc, u, v, cut)
     light = _light_subset_count(range(25), n, cut)
     assert light == 1 + 1 + 2 + 3 + 5 + 7 + 11  # partitions of 0..6, the weight above C(12, 2)
-    assert calls == [n] * (2 * light)
+    assert len(_light_tuples(range(25), n, cut)) == light
+    # positive distinct u and v: every minor of (x_i^e) is nonzero, so no
+    # prefix is skipped and each takes exactly one step per side. Without f_11
+    # the light tuples number 13; without f_3 and f_10 there is none, since
+    # the lightest tuple left, 0-2, 4-9 and 11-13, weighs 78 > 72
+    u, v = rng.sample(range(1, 17), n), rng.sample(range(1, 17), n)
+    for zeros, count in (((), light), ((11,), 13), ((3, 10), 0)):
+        fz = [0 if m in zeros else c for m, c in enumerate(fc)]
+        support = [m for m in range(25) if fz[m]]
+        assert len(_light_tuples(support, n, cut)) == _light_subset_count(support, n, cut) == count
+        prefixes = {t[:k] for t in _light_tuples(support, n, cut) for k in range(1, n)}
+        want = _formula_by_combinations(fz, u, v, cut)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(schurdet, "det_exact", no_determinant)
+            assert det_series_formula(fz, u, v, cut) == want
+        assert sorted(calls) == sorted(n - len(p) + 1 for p in prefixes for _ in "uv")
+    # signed entries, as `schur verify` draws them: at most one step per side and prefix
+    prefixes = {t[:k] for t in _light_tuples(range(25), n, cut) for k in range(1, n)}
+    u, v = rng.sample(range(-8, 9), n), rng.sample(range(-8, 9), n)
     calls.clear()
-    fc[3] = fc[10] = 0
     det_series_formula(fc, u, v, cut)
-    assert len(calls) == 2 * _light_subset_count([m for m in range(25) if fc[m]], n, cut)
+    assert 0 < len(calls) <= 2 * len(prefixes)
+
+
+def test_formula_and_direct_at_n0_and_n1():
+    # N = 0: the empty determinant, the series 1, whatever f and the cutoff
+    for fc in ([], [0, 2], [Q(3, 7), -1, 5]):
+        for cut in (0, 1, 4):
+            one = TruncatedSeries.make(cut, [1])
+            assert det_series_direct(fc, [], [], cut) == one
+            assert det_series_formula(fc, [], [], cut) == one
+    # N = 1: det f(t u v) = sum_e f_e (u v)^e t^e, cut at the cutoff
+    rng = random.Random(13)
+    for _ in range(20):
+        fc = [rng.choice((0, Q(rng.randint(-5, 5), rng.randint(1, 6)))) for _ in range(rng.randint(0, 8))]
+        u, v = Q(rng.randint(-9, 9), rng.randint(1, 5)), Q(rng.randint(-9, 9), rng.randint(1, 5))
+        cut = rng.randint(0, 9)
+        want = TruncatedSeries.make(cut, [c * (u * v) ** e for e, c in enumerate(fc)])
+        assert det_series_direct(fc, [u], [v], cut) == want
+        assert det_series_formula(fc, [u], [v], cut) == want
+
+
+def test_formula_skips_a_prefix_whose_lead_column_vanishes(monkeypatch):
+    # on u = (1, -1, 2, -2, 3) an even power depends only on x^2, which takes
+    # 3 values, so the columns of x^0, x^2, x^4 and x^6 have rank 3: after the
+    # prefix (0, 2, 4) the column of 6 is zero in both rows left (-1 and -2),
+    # and no tuple through (0, 2, 4, 6) is computed
+    zero_columns, bareiss_step = [], schurdet.bareiss_step
+
+    def recording(rows, col, prev):
+        step = bareiss_step(rows, col, prev)
+        if step is None:
+            zero_columns.append(len(rows))
+        return step
+
+    monkeypatch.setattr(schurdet, "bareiss_step", recording)
+    rng = random.Random(14)
+    u = [1, -1, 2, -2, 3]
+    for v in (u, [Q(1, 2), 3, -2, 5, Q(-7, 3)]):
+        cut = 10 + 14
+        fc = [Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(cut + 1)]
+        zero_columns.clear()
+        got = det_series_formula(fc, u, v, cut)
+        assert 2 in zero_columns
+        assert got == _formula_by_combinations(fc, u, v, cut)
+        assert got == det_series_direct(fc, u, v, cut)
+        assert any(got.coeffs)
