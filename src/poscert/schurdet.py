@@ -9,13 +9,15 @@ length N, the determinant Delta(t) = det f[t u v^T] expands as
 with V the Vandermonde product prod_{i<j} (u_i - u_j) and s_n the Schur
 polynomial evaluated through the bialternant det(x_i^{n_j}) / V(x).
 Both sides are computed here independently and exactly, so each serves as an
-oracle for the other. The left is Berkowitz's division-free determinant
-(Berkowitz 1984) in the truncated ring Z[t]/(t^{c+1}); it takes O(N^4) series
-products. The right sums det(u_i^{n_j}) det(v_i^{n_j}), which is V(u) s_n(u)
-V(v) s_n(v), over the light tuples, walked depth first: tuples with a common
-prefix share its fraction-free (Bareiss) elimination steps. Both run in
-integers: one front end clears the denominators of f, u and v once, and each
-side divides its weight-M coefficient by the same (d_u d_v)^M d_f^N.
+oracle for the other. The left takes row i to its divided difference over
+u_0..u_i, sending x^m to h_{m-i}(u_0..u_i): Delta(t) = prod_{k<i} (u_i - u_k)
+t^{C(N,2)} det H, H_ij = sum_e f_{i+e} v_j^{i+e} h_e(u_0..u_i) t^e (a polynomial
+identity in u), with det H by Berkowitz's division-free algorithm (1984) in
+Z[t]/(t^{c-C(N,2)+1}). The right sums det(u_i^{n_j}) det(v_i^{n_j}) = V(u) s_n(u)
+V(v) s_n(v) over the light tuples, walked depth first: tuples with a common
+prefix share its fraction-free (Bareiss) elimination steps. Both run in integers:
+one front end clears the denominators of f, u and v once, and each side divides
+its weight-M coefficient by the same (d_u d_v)^M d_f^N.
 """
 
 from __future__ import annotations
@@ -147,7 +149,14 @@ def det_series_direct(
 ) -> TruncatedSeries:
     """Left side: det of the N x N matrix of series f(t u_i v_j), exact."""
     g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
-    det = _det_berkowitz([[[gm * (ai * bj) ** m for m, gm in enumerate(g)] for bj in b] for ai in a], cutoff)
+    low = len(a) * (len(a) - 1) // 2
+    h, rows = [1] + [0] * (cutoff - low), []  # h[e] = h_e(a_0..a_i)
+    for i, ai in enumerate(a):
+        for e in range(1, len(h)):
+            h[e] += ai * h[e - 1]
+        rows.append([[gm * bj ** (i + e) * he for e, (gm, he) in enumerate(zip(g[i:], h))] for bj in b])
+    scale = prod(ai - ak for i, ai in enumerate(a) for ak in a[:i])
+    det = [0] * low + [scale * c for c in _det_berkowitz(rows, cutoff - low)]
     return TruncatedSeries.make(cutoff, list(map(Fraction, det, divisors)))
 
 

@@ -5,7 +5,9 @@ integer three-term recurrence), exact inner products under the weight
 moments (orthogonality), the psd-ness of entrywise G_k images of unit
 Gram matrices, the spherical-harmonic dimension count, and the closed
 form of the Jacobi normalization (against ``to_jacobi_basis``'s running
-product). None of it is on a command's path.
+product), and the series determinant det f[t u v^T] by Berkowitz on the
+whole matrix (against ``det_series_direct``'s reduced one). None of it is
+on a command's path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from poscert.gegenbauer import _check_dim, gegenbauer_values, normalized_moment
-from poscert.polycore import Poly
+from poscert.polycore import Poly, RationalLike
+from poscert.schurdet import TruncatedSeries, _cleared, _det_berkowitz
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -123,3 +126,20 @@ def gegenbauer_gram_check(n: int, k: int, points: Sequence[Sequence[float]]) -> 
         raise ValueError(f"point {int(np.argmax(bad))} is not on the unit sphere")
     vals = gegenbauer_values(n, k, pts @ pts.T)[k]
     return float(np.linalg.eigvalsh(vals).min())
+
+
+def det_series_full_berkowitz(
+    f_coeffs: Sequence[RationalLike],
+    u: Sequence[RationalLike],
+    v: Sequence[RationalLike],
+    cutoff: int,
+) -> TruncatedSeries:
+    """det f[t u v^T] by Berkowitz on the unreduced N x N matrix of series.
+
+    Every entry g_m (a_i b_j)^m keeps all cutoff + 1 coefficients, so neither
+    the factor prod_{k<i} (a_i - a_k) nor the shift by t^{C(N,2)} that
+    ``det_series_direct`` takes out is assumed here.
+    """
+    g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
+    det = _det_berkowitz([[[gm * (ai * bj) ** m for m, gm in enumerate(g)] for bj in b] for ai in a], cutoff)
+    return TruncatedSeries.make(cutoff, list(map(Fraction, det, divisors)))

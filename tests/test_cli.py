@@ -8,7 +8,7 @@ import pytest
 from poscert import cli
 from poscert.cli import (
     MAX_DIM, MAX_GEGENBAUER_K, MAX_LP_DEGREE, MAX_LP_ENTRIES, MAX_MIDCONVEX_SAMPLES, MAX_PRESERVER_DIM,
-    MAX_SCHUR_DEGREE, MAX_SCHUR_N, run,
+    MAX_SCHUR_DEGREE, MAX_SCHUR_N, MAX_SCHUR_TRIALS, run,
 )
 from poscert.entrywise import MAX_WITNESS_BLOCK
 from poscert.lattice import MAX_Z_RANK
@@ -156,6 +156,8 @@ def test_schur_verify():
                  f"--dim must be between 2 and {MAX_PRESERVER_DIM}", id="preserver-dim-above-limit"),
     pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
                  id="schur-trials-zero"),
+    pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", str(MAX_SCHUR_TRIALS + 1)],
+                 f"at most {MAX_SCHUR_TRIALS}, got {MAX_SCHUR_TRIALS + 1}", id="schur-trials-above-limit"),
     pytest.param(["schur", "verify", "--N", str(MAX_SCHUR_N + 1), "--degree", "12"],
                  f"between 1 and {MAX_SCHUR_N}", id=f"schur-N-{MAX_SCHUR_N + 1}"),
     pytest.param(["schur", "verify", "--N", "10", "--degree", str(MAX_SCHUR_DEGREE + 1)],

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 from itertools import combinations, permutations
 
 import pytest
+from oracle_formulas import det_series_full_berkowitz
 
 from poscert import schurdet
 from poscert.polycore import Poly
@@ -154,6 +155,58 @@ def test_direct_matches_leibniz_brute_force():
                 v = [rng.randint(-5, 5) for _ in range(n)]
                 fc = [rng.randint(-3, 3) for _ in range(8)]
             assert det_series_direct(fc, u, v, cut) == _leibniz(fc, u, v, cut)
+
+
+def test_direct_matches_full_length_berkowitz():
+    # N = 0-9 at cutoffs C(N, 2) to C(N, 2) + 10 (each one up to N = 6, every
+    # fifth above, where the oracle is slow). Case k takes integer or rational
+    # entries by k % 2; u and v distinct, with a zero, with a repeat in u (the
+    # series is 0) or both by k // 2 % 4; f with f_0 = 0, with gaps or dense
+    # by k % 3; and empty f every time
+    rng = random.Random(15)
+    ints, rats = list(range(-8, 9)), sorted({Q(p, q) for p in range(-9, 10) for q in (1, 2, 3, 5)})
+    k = nonzero = 0
+    for n in range(10):
+        low = n * (n - 1) // 2
+        for extra in range(0, 11, 1 if n <= 6 else 5):
+            cut, pool = low + extra, rats if k % 2 else ints
+            u, v = rng.sample(pool, n), rng.sample(pool, n)
+            if n and k // 2 % 4 in (1, 3):
+                u[-1] = v[0] = 0
+            if n > 1 and k // 2 % 4 in (2, 3):
+                u[0] = u[1]
+            fc = [rng.choice([c for c in pool if c]) for _ in range(rng.randint(n + 2, cut + 3))]
+            if k % 3 == 0:
+                fc[0] = 0
+            elif k % 3 == 1:
+                fc = [c if rng.randrange(3) else 0 for c in fc]
+            got = det_series_direct(fc, u, v, cut)
+            assert got == det_series_full_berkowitz(fc, u, v, cut), (n, cut, k)
+            assert det_series_direct([], u, v, cut) == det_series_full_berkowitz([], u, v, cut)
+            nonzero += any(got.coeffs)
+            k += 1
+    assert k == 86 and nonzero >= 30
+
+
+def test_direct_runs_berkowitz_on_series_cut_above_binom(monkeypatch):
+    # det_series_direct takes t^C(N, 2) out of the determinant, so its one
+    # Berkowitz call truncates at cutoff - C(N, 2), on entries of that many
+    # coefficients plus one; entries carried to the full cutoff fail here
+    seen, det_berkowitz = [], schurdet._det_berkowitz
+
+    def recording(a, cutoff):
+        seen.append((cutoff, {len(x) for row in a for x in row}))
+        return det_berkowitz(a, cutoff)
+
+    monkeypatch.setattr(schurdet, "_det_berkowitz", recording)
+    rng = random.Random(16)
+    for n, extra in ((1, 0), (2, 10), (5, 3), (12, 6)):
+        u, v = rng.sample(range(-8, 9), n), rng.sample(range(-8, 9), n)
+        fc = [rng.randint(-4, 4) for _ in range(25)]
+        cut = n * (n - 1) // 2 + extra
+        seen.clear()
+        assert det_series_direct(fc, u, v, cut) == det_series_formula(fc, u, v, cut)
+        assert seen == [(extra, {extra + 1})]
 
 
 def test_identity_randomized_larger_n():
