@@ -9,7 +9,7 @@ vectors are enumerated under a quadratic-form bound (Fincke--Pohst
 style), one level at a time over numpy blocks of search-tree nodes: one
 fraction-free elimination per lattice gives the exact quadratic completion,
 a float copy with conservative slack drives the pruning, and every candidate is
-re-verified with exact integer arithmetic, so the returned set is exact.
+re-verified in integer-valued float64 products below 2^53, so the set is exact.
 
 The Golay code is the extended quadratic-residue code of length 23; its
 correctness is established by the 4096-word, minimum-weight-8
@@ -19,6 +19,7 @@ exact checks on its Gram matrix certify the result.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import struct
@@ -318,9 +319,10 @@ def leech_lattice() -> Lattice:
 
 # Most nodes one block of the enumeration stack holds.
 _BLOCK = 1 << 15
+_SLACK = 1e-6  # float slack on every pruning budget
 
 
-def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> np.ndarray:
+def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float, dtype) -> np.ndarray:
     """Level-by-level search over the canonical half-space of {x : Q(x) <= bound}.
 
     Q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j-i-1] x_j)^2, levels running
@@ -329,13 +331,14 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> 
     "every fixed coordinate is zero" flags; a block is expanded one level
     in numpy. While the flag holds the range is clamped to x_i >= 0, so
     each +-pair is seen exactly once and the zero vector never. Pruning is
-    in floats with 1e-6 slack on the budget and 1e-9 margins on each
-    rounded coordinate range; the caller re-verifies every candidate exactly.
+    in floats with _SLACK on the budget and 1e-9 margins on each rounded
+    coordinate range; the caller re-verifies every candidate exactly.
+    Coordinates are held in the signed integer ``dtype``, which the caller
+    proves wide enough for every coordinate the search can reach.
     """
     n = len(d)
-    slack = 1e-6
-    found = [np.zeros((0, n), dtype=np.int64)]
-    stack = [(n - 1, np.zeros((1, n), dtype=np.int64), np.array([bound + slack]), np.array([True]))]
+    found = [np.zeros((0, n), dtype=dtype)]
+    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.array([bound + _SLACK]), np.array([True]))]
     while stack:
         i, x, budget, zero = stack.pop()
         if i < 0:
@@ -350,7 +353,7 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> 
         parent = np.repeat(np.arange(len(x)), count)
         xi = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
         t = budget[parent] - d[i] * (xi + c[parent]) ** 2
-        keep = t >= -slack
+        keep = t >= -_SLACK
         parent, t = parent[keep], t[keep]
         x = x[parent]
         x[:, i] = xi[keep]
@@ -363,14 +366,15 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float) -> 
 def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.ndarray]:
     """One vector of each +-pair with v^T Gram v <= bound_sq, unsorted.
 
-    Returns the int64 coordinates and their int64 norms under the
-    integer Gram matrix gram * lat._scale.
+    Returns the coordinates, in the narrowest signed integer type that holds
+    -1 - X for the proven coordinate bound X, and their int64 norms under
+    the integer Gram matrix gram * lat._scale.
     """
     n, scale = lat.rank, lat._scale
     bound = rat(bound_sq)
     if bound <= 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    gz = np.array(lat._gram_int, dtype=np.int64).reshape(n, n)  # OverflowError past int64
+        return np.zeros((0, n), dtype=np.int8), np.zeros(0, dtype=np.int64)
+    gmax = max(map(abs, lat._gram_int))
     bound_scaled = bound * scale
     bound_int = bound_scaled.numerator // bound_scaled.denominator  # floor
 
@@ -379,23 +383,24 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
     dd = np.array([leads[i + 1] / leads[i] for i in range(n)])
     uu = [np.array([x / row[0] for x in row[1:]]) for row in lat._pivot_rows]
 
-    # int64 safety: |x_i + sum_{j>i} u_ij x_j| <= sqrt(bound/d_i), so |x_i| <= X_i
-    # = sqrt(bound/d_i) + 1 + sum_{j>i} |u_ij| X_j, the 1 covering the float slack.
+    # |x_i + sum_{j>i} u_ij x_j| <= sqrt((bound + _SLACK)/d_i) in the search, so
+    # |x_i| <= X_i = sqrt((bound + _SLACK)/d_i) + 1 + sum_{j>i} |u_ij| X_j, the 1
+    # covering the rounding; the search then fits the dtype chosen from max X_i.
     xmax = np.zeros(n)
     for i in reversed(range(n)):
-        xmax[i] = math.sqrt(float(bound_scaled) / dd[i]) + 1 + np.abs(uu[i]) @ xmax[i + 1:]
-    if not xmax.max() < math.sqrt(2**62 / (n * n * int(np.abs(gz).max()))):  # a nan bound fails too
+        xmax[i] = math.sqrt((float(bound_scaled) + _SLACK) / dd[i]) + 1 + np.abs(uu[i]) @ xmax[i + 1:]
+    if not xmax.max() < math.sqrt(2**53 / (n * n * gmax)):  # a nan bound fails too
         raise OverflowError(f"enumeration bound allows candidate coordinates up to {xmax.max():.0f}, "
-                            "too large for int64 verification")
+                            "too large for exact float64 norms below 2^53")
 
-    cands = _half_space_candidates(dd, uu, float(bound_scaled))
-    if cands.size:
-        # exact int64-safety certificate for the norm verification below
-        coord_max = int(np.abs(cands).max())
-        if n * n * coord_max * coord_max * int(np.abs(gz).max()) >= 2**62:
-            raise OverflowError("candidate coordinates too large for int64 verification")
-    # |(cands @ gz)_ik| <= n coord_max max|gz|, below the bound just checked
-    norms = np.einsum("ij,ij->i", cands @ gz, cands)
+    cands = _half_space_candidates(dd, uu, float(bound_scaled), np.min_scalar_type(-1 - int(xmax.max())))
+    c = cands.astype(np.float64)
+    coord_max = int(np.abs(c).max(initial=0))  # exactness certificate for the float64 norms below
+    if n * n * coord_max * coord_max * gmax >= 2**53:
+        raise OverflowError("candidate coordinates too large for exact float64 norms below 2^53")
+    # every partial sum is an integer of magnitude at most n^2 coord_max^2 max|gz| < 2^53
+    gz = np.array(lat._gram_int, dtype=np.float64).reshape(n, n)
+    norms = np.einsum("ij,ij->i", c @ gz, c).astype(np.int64)
     keep = (norms > 0) & (norms <= bound_int)
     return cands[keep], norms[keep]
 
@@ -408,14 +413,20 @@ def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
     most significant, and positions i and 2m - 1 - i hold negatives of each other.
     """
     half, _ = _short_vectors_with_norms(lat, bound_sq)
-    # in the narrowest signed type holding -1 - max|x|, negation cannot overflow; it
+    # in a signed type holding -1 - max|x|, negation cannot overflow; it
     # reverses the order and 0 is not in the set, so the list is L and then -L
     # reversed, L holding each pair's member whose first nonzero entry is < 0
-    half = half.astype(np.min_scalar_type(-1 - int(np.abs(half).max(initial=0))))
     half *= -np.sign(half[np.arange(len(half)), (half != 0).argmax(1)])[:, None]
     low = half[np.lexsort(half.T[::-1])]
     rows = np.concatenate([low, -low[::-1]])
-    return list(struct.iter_unpack(f"{lat.rank}{rows.dtype.char}", rows.tobytes()))
+    # the tuples hold only ints and cannot form cycles, so the collector is paused
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        return list(struct.iter_unpack(f"{lat.rank}{rows.dtype.char}", rows.tobytes()))
+    finally:
+        if was:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -505,6 +516,7 @@ def table_report(dims: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 24)) -> dict:
     one is known. Mordell's inequality gamma_n <= gamma_{n-1}^{(n-1)/(n-2)}
     is checked across consecutive computed rows.
     """
+    dims = list(dict.fromkeys(dims))  # each lattice is enumerated once, first-seen order
     unsupported = [n for n in dims if n not in _TABLE_LATTICE]
     if unsupported:
         raise ValueError(

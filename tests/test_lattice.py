@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -480,6 +481,69 @@ def test_int64_guard_bounds_skewed_coordinates_before_enumerating(monkeypatch):
         short_vectors(lat, 4)
 
 
+def test_float64_norms_exact_just_inside_the_2_53_guard():
+    # Q(x) = g x^2 with g = 2^41 - 1: the guard admits |x| < sqrt(2^53 / g) - 1 ~ 63.00002,
+    # and the norm g 63^2 sits within 3% of 2^53
+    g = 2**41 - 1
+    lat = Lattice("wide", 1, ((Q(g),),))
+    vecs, norms = lattice._short_vectors_with_norms(lat, g * 63**2)
+    assert sorted(abs(x) for x in vecs[:, 0].tolist()) == list(range(1, 64))
+    assert norms.tolist() == [g * x * x for x in vecs[:, 0].tolist()]
+    assert max(norms.tolist()) == g * 63**2
+
+
+def test_float64_guard_rejects_the_next_coordinate_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", never)
+    g = 2**41 - 1
+    with pytest.raises(OverflowError, match="enumeration bound"):
+        short_vectors(Lattice("wide", 1, ((Q(g),),)), g * 64**2)
+
+
+@pytest.mark.parametrize("r, itemsize", [(126, 1), (127, 2), (32766, 2), (32767, 4)])
+def test_kernel_dtype_switch_matches_box_search(monkeypatch, r, itemsize):
+    # the coordinate bound is r + 1, so the kernel needs a type holding -r - 2
+    widths = []
+    kernel = lattice._half_space_candidates
+
+    def record(d, u, bound, dtype):
+        widths.append(np.dtype(dtype).itemsize)
+        return kernel(d, u, bound, dtype)
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", record)
+    gram = ((Q(1),),)
+    assert short_vectors(Lattice("Z1", 1, gram), r * r) == brute_force_vectors(gram, Q(r * r))[0]
+    assert widths == [itemsize]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_short_vectors_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(short_vectors(standard_lattice("E8"), 2)) == 240
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_table_report_enumerates_each_repeated_dimension_once(monkeypatch):
+    calls = []
+    invariants = lattice.lattice_invariants
+
+    def count(lat):
+        calls.append(lat.name)
+        return invariants(lat)
+
+    monkeypatch.setattr(lattice, "lattice_invariants", count)
+    report = table_report(dims=(3, 1, 3, 1, 2))
+    assert [r["n"] for r in report["rows"]] == [3, 1, 2]
+    assert calls == ["A3", "A1", "A2"]
+    assert report["all_match"]
+
+
 @pytest.mark.parametrize(
     "rank, gram, basis, message",
     [
@@ -520,7 +584,7 @@ def test_pivot_floats_and_covolume_match_rational_ldl(monkeypatch):
     # random B B^T with rational B, so the Gram entries are not integers
     seen = []
 
-    def record(d, u, bound):
+    def record(d, u, bound, dtype):
         seen.append((d, u))
         return np.zeros((0, len(d)), dtype=np.int64)
 
