@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -347,12 +348,17 @@ def run(argv: list[str]) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> None:
     result = run(sys.argv[1:] if argv is None else argv)
-    if result.exit_code == 2:
-        print(json.dumps(result.payload), file=sys.stderr)
-    elif result.text is not None:
-        print(result.text)
-    else:
-        print(json.dumps(result.payload, indent=2))
+    try:
+        if result.exit_code == 2:
+            print(json.dumps(result.payload), file=sys.stderr)
+        elif result.text is not None:
+            print(result.text)
+        else:
+            print(json.dumps(result.payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: silence the interpreter's flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.exit_code)
 
 

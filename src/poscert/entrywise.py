@@ -214,21 +214,20 @@ class DiameterError(ValueError):
     """Spherical embedding rejected because some distance exceeds pi."""
 
 
-def _pinned_coordinates(gram: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    # Reproducible coordinates: eigenvalues descending, each eigenvector's
-    # first nonzero component made positive. Decided on the scaled copy, as in psd_check.
+def _pinned_coordinates(gram: np.ndarray, r: int) -> np.ndarray:
+    # Reproducible coordinates on the r largest eigenvalues, r the rank psd_check
+    # reported: eigenvalues descending, each eigenvector's first nonzero
+    # component made positive. Computed on the scaled copy, as in psd_check.
     gram, e = _scaled(gram)
     vals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(vals)[::-1]
+    order = np.argsort(vals)[::-1][:r]
     vals, vecs = vals[order], vecs[:, order]
-    r = int((vals > math.ldexp(tol, -e)).sum())
-    vals, vecs = vals[:r], vecs[:, :r]
     for j in range(r):
         col = vecs[:, j]
         nz = np.nonzero(np.abs(col) > _EIG_SIGN_TOL)[0]
         if nz.size and col[nz[0]] < 0:
             vecs[:, j] = -col
-    return vecs * np.ldexp(np.sqrt(vals), e // 2)[None, :], r
+    return vecs * np.ldexp(np.sqrt(vals), e // 2)[None, :]
 
 
 def modified_cayley_menger(d: DistanceMatrix) -> SymMatrix:
@@ -251,8 +250,8 @@ def euclidean_embed(d: DistanceMatrix) -> EmbeddingResult:
     report = psd_check(cm)
     if not report.is_psd:
         return EmbeddingResult(False, None, None, report.min_eigenvalue)
-    coords, r = _pinned_coordinates(cm.entries / 2.0, report.tol / 2.0)
-    points = np.vstack([np.zeros((1, r)), coords])
+    r = report.rank
+    points = np.vstack([np.zeros((1, r)), _pinned_coordinates(cm.entries / 2.0, r)])
     return EmbeddingResult(True, points, r, None)
 
 
@@ -269,10 +268,10 @@ def sphere_embed(d: DistanceMatrix) -> EmbeddingResult:
     report = psd_check(g)
     if not report.is_psd:
         return EmbeddingResult(False, None, None, report.min_eigenvalue)
-    coords, r = _pinned_coordinates(g.entries, report.tol)
+    coords = _pinned_coordinates(g.entries, report.rank)
     norms = np.linalg.norm(coords, axis=1)
     coords = coords / np.where(norms > 0, norms, 1.0)[:, None]
-    return EmbeddingResult(True, coords, r, None)
+    return EmbeddingResult(True, coords, report.rank, None)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,12 +40,6 @@ from .polycore import bareiss_steps, clear_denominators, rat, rat_str
 class Lattice:
     """Rank-n lattice with exact rational Gram matrix.
 
-    ``basis_rows``, when present, are exact coordinates of a basis whose
-    Gram matrix is basis_rows . basis_rows^T / basis_scale_sq; the true
-    basis vectors are basis_rows / sqrt(basis_scale_sq). This keeps
-    half-integer (E8) and 1/sqrt(8)-scaled (Leech) bases exactly
-    representable.
-
     ``_pivot_rows`` are the Bareiss pivot rows of the integer Gram matrix
     gram * _scale: lead_i = row_i[0] is its leading minor of order i + 1, and
     its quadratic form is sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with
@@ -56,8 +49,6 @@ class Lattice:
     name: str
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
-    basis_rows: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    basis_scale_sq: Fraction = Fraction(1)
     _scale: int = field(init=False, repr=False, compare=False)
     _gram_int: tuple[int, ...] = field(init=False, repr=False, compare=False)  # gram * _scale, row-major
     _pivot_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -81,22 +72,6 @@ class Lattice:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_gram_int", tuple(flat))
         object.__setattr__(self, "_pivot_rows", pivot_rows)
-        object.__setattr__(self, "basis_scale_sq", rat(self.basis_scale_sq))
-        if self.basis_rows is not None:
-            rows = tuple(tuple(rat(x) for x in row) for row in self.basis_rows)
-            if len(rows) != n or len({len(row) for row in rows}) != 1:
-                raise ValueError(f"basis rows must be {n} rows of equal length, "
-                                 f"got lengths {[len(row) for row in rows]}")
-            object.__setattr__(self, "basis_rows", rows)
-            # rows = b / d and basis_scale_sq = p / q, so the check
-            # b b^T / (d^2 p / q) = gram runs in integers as b b^T q _scale = gram_int d^2 p
-            m = len(rows[0])
-            b, d = clear_denominators([x for row in rows for x in row])
-            b = [b[i * m:(i + 1) * m] for i in range(n)]
-            p, q = self.basis_scale_sq.numerator, self.basis_scale_sq.denominator
-            if any(sum(map(mul, b[i], b[j])) * q * scale != flat[i * n + j] * d * d * p
-                   for i in range(n) for j in range(i, n)):
-                raise ValueError("basis rows do not reproduce the Gram matrix")
 
     @property
     def covolume_sq(self) -> Fraction:
@@ -149,12 +124,12 @@ def e8_coordinate_lattice() -> Lattice:
         tuple(sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(8))
         for i in range(8)
     )
-    return Lattice("E8-coords", 8, gram, tuple(tuple(r) for r in rows))
+    return Lattice("E8-coords", 8, gram)
 
 
-# Largest k accepted in Z<k>. Building Z^k checks its basis exactly in
-# O(k^3) integer operations: Z256 builds in 1.3-1.6 s, and `poscert lattice
-# info` on Z256 takes 1.8-2.1 s and 42 MB (2-vCPU Xeon VM).
+# Largest k accepted in Z<k>. Building Z^k checks its Gram matrix positive
+# definite in O(k^3) integer operations: Z256 builds in 0.64-0.84 s, and
+# `poscert lattice info` on Z256 takes 0.84-1.14 s and 43 MB (2-vCPU Xeon VM).
 MAX_Z_RANK = 256
 
 
@@ -173,7 +148,7 @@ def standard_lattice(name: str) -> Lattice:
         eye = tuple(
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(k)) for i in range(k)
         )
-        return Lattice(name, k, eye, eye)
+        return Lattice(name, k, eye)
     raise KeyError(f"unknown lattice name: {name!r}")
 
 
@@ -302,13 +277,7 @@ def leech_lattice() -> Lattice:
     gram = [[Fraction(gram_scaled[i][j] // 8) for j in range(24)] for i in range(24)]
     if any(gram[i][i] % 2 for i in range(24)):
         raise AssertionError("Leech construction is not even")
-    lat = Lattice(
-        "Leech",
-        24,
-        tuple(tuple(row) for row in gram),
-        tuple(tuple(Fraction(x) for x in row) for row in basis),
-        basis_scale_sq=Fraction(8),
-    )
+    lat = Lattice("Leech", 24, tuple(tuple(row) for row in gram))
     if lat.covolume_sq != 1:
         raise AssertionError("Leech construction is not unimodular")
     return lat

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -411,3 +414,15 @@ def test_gegenbauer_expand(tmp_path, monkeypatch):
     assert res.payload == {"dim": 3, "coeffs": ["1/3", "0", "2/3"], "classical_coeffs": ["1/3", "0", "2/3"]}
     res = run(["gegenbauer", "--dim", "3", "--k", "2"])
     assert res.payload["poly"] == ["-1/2", "0", "3/2"]
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader stops after 20 bytes of a 1.3 MB payload, as `| head -c 20` does
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "poscert.cli", "gegenbauer", "--dim", "3", "--k", "1700"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -232,6 +232,20 @@ def test_euclidean_round_trip_random():
         assert np.abs(back - d.dists).max() < 1e-8
 
 
+def test_euclidean_embed_dim_is_psd_rank():
+    # the third singular value of 6 points in R^3 swept across psd_check's
+    # relative cut-off 1e-10: dim and the coordinates follow its rank
+    rng = np.random.default_rng(3)
+    u, _, vt = np.linalg.svd(rng.standard_normal((6, 3)), full_matrices=False)
+    for i in range(401):
+        x = (u * [1, 0.7, math.sqrt(1e-10 * (1 - 2e-6 + i * 1e-8))]) @ vt
+        pts = np.vstack([np.zeros(3), x])
+        d = DistanceMatrix(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2)))
+        res = euclidean_embed(d)
+        rank = psd_check(modified_cayley_menger(d)).rank
+        assert res.embeddable and res.dim == rank == res.points.shape[1], i
+
+
 def test_sphere_embed_examples():
     a = 2 * math.pi / 3
     d = DistanceMatrix([[0, a, a], [a, 0, a], [a, a, 0]])

@@ -95,11 +95,19 @@ def test_e8_cross_construction():
 
 
 def test_e8_embedding_norms():
-    # the ambient coordinates v = x B / sqrt(basis_scale_sq), in exact arithmetic
+    # the coordinate basis as its own reference: (2, 0^7), the chain
+    # differences e_i - e_{i-1}, and the all-halves vector
+    rows = [[Q(0)] * 8 for _ in range(8)]
+    rows[0][0] = Q(2)
+    for i in range(1, 7):
+        rows[i][i - 1], rows[i][i] = Q(-1), Q(1)
+    rows[7] = [Q(1, 2)] * 8
     lat = e8_coordinate_lattice()
-    coords = short_vectors(lat, 2)
-    pts = [[sum(c * b for c, b in zip(x, col)) for col in zip(*lat.basis_rows)] for x in coords]
-    assert {sum(v * v for v in p) / lat.basis_scale_sq for p in pts} == {2}
+    assert lat.gram == tuple(tuple(sum(a * b for a, b in zip(ri, rj)) for rj in rows) for ri in rows)
+    # the ambient vectors v = x B, in exact arithmetic
+    pts = {tuple(sum(c * b for c, b in zip(x, col)) for col in zip(*rows)) for x in short_vectors(lat, 2)}
+    assert len(pts) == 240
+    assert {sum(v * v for v in p) for p in pts} == {2}
 
 
 def test_short_vectors_pairing_and_sorting():
@@ -545,24 +553,20 @@ def test_table_report_enumerates_each_repeated_dimension_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rank, gram, basis, message",
+    "rank, gram, message",
     [
-        (2, ((1, 0),), None, "shape does not match rank"),
-        (2, ((2, 1), (0, 2)), None, "must be symmetric"),
-        (2, ((0, 1), (1, 0)), None, r"not positive definite \(pivot 0\)"),  # Bareiss would swap rows
-        (2, ((1, 1), (1, 1)), None, r"not positive definite \(pivot 1\)"),  # singular PSD
-        (3, ((2, 1, 0), (1, 2, 2), (0, 2, 1)), None, r"not positive definite \(pivot 2\)"),  # det -5
-        (2, ((1, 0), (0, 2)), ((1, 0), (1, 1)), "basis rows do not reproduce the Gram matrix"),
-        (0, (), None, "rank must be >= 1"),
-        (2, ((1, 0), (0, 1)), ((1, 0),), r"basis rows must be 2 rows of equal length, got lengths \[2\]"),
-        (2, ((1, 0), (0, 1)), ((1, 0, 0), (0, 1)), r"must be 2 rows of equal length, got lengths \[3, 2\]"),
+        (2, ((1, 0),), "shape does not match rank"),
+        (2, ((2, 1), (0, 2)), "must be symmetric"),
+        (2, ((0, 1), (1, 0)), r"not positive definite \(pivot 0\)"),  # Bareiss would swap rows
+        (2, ((1, 1), (1, 1)), r"not positive definite \(pivot 1\)"),  # singular PSD
+        (3, ((2, 1, 0), (1, 2, 2), (0, 2, 1)), r"not positive definite \(pivot 2\)"),  # det -5
+        (0, (), "rank must be >= 1"),
     ],
-    ids=["shape", "asymmetric", "zero-lead", "singular", "third-pivot", "basis", "rank-0",
-         "basis-too-few-rows", "basis-ragged"],
+    ids=["shape", "asymmetric", "zero-lead", "singular", "third-pivot", "rank-0"],
 )
-def test_lattice_validation(rank, gram, basis, message):
+def test_lattice_validation(rank, gram, message):
     with pytest.raises(ValueError, match=message):
-        Lattice("bad", rank, gram, basis)
+        Lattice("bad", rank, gram)
 
 
 def ldl_reference(gram):
