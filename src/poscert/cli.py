@@ -245,18 +245,16 @@ def _cmd_schur(args) -> CommandResult:
 
 
 def _cmd_tables(args) -> CommandResult:
-    dims = tuple(args.dims) if args.dims else (1, 2, 3, 4, 5, 6, 7, 8, 24)
-    report = lattice.table_report(dims)
+    report = lattice.table_report(args.dims)
     text = None
     if not args.json:
         lines = [
             f"{'n':>3} {'lattice':>8} {'gamma^n':>14} {'density':>18} {'kissing':>8} match"
         ]
         for r in report["rows"]:
-            ok = r["gamma_match"] and r["density_match"] and r["kissing_match"] is not False
             lines.append(
                 f"{r['n']:>3} {r['lattice']:>8} {r['gamma_pow_n']:>14} "
-                f"{r['density']:>18.12f} {r['kissing']:>8} {'ok' if ok else 'MISMATCH'}"
+                f"{r['density']:>18.12f} {r['kissing']:>8} {'ok' if r['match'] else 'MISMATCH'}"
             )
         for m in report["mordell"]:
             lines.append(
@@ -286,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bsub = b.add_subparsers(dest="bound_command", required=True)
     bs = bsub.add_parser("spherical-code", help="LP bound plus exact certificate")
     bs.add_argument("--dim", type=int, required=True, help=f"2-{MAX_DIM}")
-    bs.add_argument("--cos", required=True, help="cos(psi) as 'p/q'")
+    bs.add_argument("--cos", required=True, help="cos(psi) as 'p/q'; a negative one as --cos=-p/q")
     bs.add_argument("--degree", type=int, required=True, help=f"0-{MAX_LP_DEGREE}")
     bs.add_argument("--grid", type=int, default=2000)
     bk = bsub.add_parser("kissing", help="verify an embedded kissing certificate")

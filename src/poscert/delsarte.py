@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -189,12 +189,14 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
 
 
-def _product_certificate(scale: Fraction, factors: Sequence[tuple[Fraction, int]]) -> Poly:
-    # Factors are (root, multiplicity) of the monic product (t - root)^mult.
-    f = Poly.constant(scale)
-    for root, mult in factors:
-        f = f * Poly([-root, 1]) ** mult
-    return f
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+# name: (dim, scale, ((root, multiplicity), ...)) of scale * prod (t - root)^multiplicity
+_FIXTURES = {
+    "paper-8": (8, Fraction(320, 3), ((-1, 1), (-_HALF, 2), (0, 2), (_HALF, 1))),
+    "paper-24": (24, Fraction(1490944, 15),
+                 ((-1, 1), (-_HALF, 2), (-_QUARTER, 2), (0, 2), (_QUARTER, 2), (_HALF, 1))),
+}
+KNOWN_CERTIFICATE_NAMES = tuple(_FIXTURES)
 
 
 @lru_cache(maxsize=None)
@@ -206,20 +208,10 @@ def known_certificate(name: str) -> BoundCertificate:
     certifying A(24, pi/3) <= 196560 (Levenshtein / Odlyzko--Sloane).
     Both are re-verified exactly on every fresh construction.
     """
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    if name == "paper-8":
-        f = _product_certificate(
-            Fraction(320, 3), [(-1, 1), (-half, 2), (0, 2), (half, 1)]
-        )
-        return verify_certificate(8, half, f)
-    if name == "paper-24":
-        f = _product_certificate(
-            Fraction(1490944, 15),
-            [(-1, 1), (-half, 2), (-quarter, 2), (0, 2), (quarter, 2), (half, 1)],
-        )
-        return verify_certificate(24, half, f)
-    raise KeyError(f"unknown certificate fixture: {name!r}")
-
-
-KNOWN_CERTIFICATE_NAMES = ("paper-8", "paper-24")
+    if name not in _FIXTURES:
+        raise KeyError(f"unknown certificate fixture: {name!r}")
+    dim, scale, factors = _FIXTURES[name]
+    f = Poly.constant(scale)
+    for root, mult in factors:
+        f = f * Poly([-root, 1]) ** mult
+    return verify_certificate(dim, _HALF, f)

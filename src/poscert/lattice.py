@@ -445,91 +445,65 @@ def lattice_invariants(lat: Lattice) -> LatticeInvariants:
 # ---------------------------------------------------------------------------
 # the classical tables
 
-_TABLE_LATTICE = {1: "A1", 2: "A2", 3: "A3", 4: "D4", 5: "D5", 6: "E6", 7: "E7", 8: "E8", 24: "Leech"}
-
-_TABLE_GAMMA_POW_N = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-    6: Fraction(64, 3),
-    7: Fraction(64),
-    8: Fraction(256),
-    24: Fraction(4) ** 24,
+# n: (lattice, gamma^n exactly, kissing number where it is known)
+_TABLE = {
+    1: ("A1", Fraction(1), 2),
+    2: ("A2", Fraction(4, 3), 6),
+    3: ("A3", Fraction(2), 12),
+    4: ("D4", Fraction(4), 24),
+    5: ("D5", Fraction(8), None),
+    6: ("E6", Fraction(64, 3), None),
+    7: ("E7", Fraction(64), None),
+    8: ("E8", Fraction(256), 240),
+    24: ("Leech", Fraction(4) ** 24, 196560),
 }
 
-_TABLE_DENSITY = {
-    1: 1.0,
-    2: math.pi / (2 * math.sqrt(3)),
-    3: math.pi / (3 * math.sqrt(2)),
-    4: math.pi**2 / 16,
-    5: math.pi**2 / (15 * math.sqrt(2)),
-    6: math.pi**3 / (48 * math.sqrt(3)),
-    7: math.pi**3 / 105,
-    8: math.pi**4 / 384,
-    24: math.pi**12 / math.factorial(12),
-}
 
-_TABLE_KISSING = {1: 2, 2: 6, 3: 12, 4: 24, 8: 240, 24: 196560}
-
-_DENSITY_RTOL = 1e-12
-
-
-def table_report(dims: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 24)) -> dict:
+def table_report(dims: Optional[Sequence[int]] = None) -> dict:
     """Recompute the classical Hermite/density/kissing tables with match flags.
 
-    Each row compares the exact gamma^n against the tabulated rational,
-    the floating density against its closed form (1e-12 relative), and
-    the count of minimal vectors against the known kissing number where
-    one is known. Mordell's inequality gamma_n <= gamma_{n-1}^{(n-1)/(n-2)}
-    is checked across consecutive computed rows.
+    `dims` defaults to every tabulated dimension (so does an empty one). Each
+    row compares the exact gamma^n with the tabulated rational and the count of
+    minimal vectors with the kissing number where one is known; the density
+    nu_n (gamma^n)^{1/2} / 2^n follows from gamma^n and is only reported.
+    Mordell's inequality gamma_n <= gamma_{n-1}^{(n-1)/(n-2)} is decided
+    exactly across consecutive computed rows.
     """
-    dims = list(dict.fromkeys(dims))  # each lattice is enumerated once, first-seen order
-    unsupported = [n for n in dims if n not in _TABLE_LATTICE]
+    dims = list(dict.fromkeys(dims or _TABLE))  # each lattice is enumerated once, first-seen order
+    unsupported = [n for n in dims if n not in _TABLE]
     if unsupported:
+        starts = [n for n in _TABLE if n - 1 not in _TABLE]
+        ends = [n for n in _TABLE if n + 1 not in _TABLE]
+        spans = " and ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
         raise ValueError(
-            f"unsupported table dimension(s) {unsupported}; supported dimensions are 1-8 and 24"
+            f"unsupported table dimension(s) {unsupported}; supported dimensions are {spans}"
         )
     rows = []
-    gammas: dict[int, float] = {}
+    invs: dict[int, LatticeInvariants] = {}
     for n in dims:
-        name = _TABLE_LATTICE[n]
-        lat = standard_lattice(name)
-        inv = lattice_invariants(lat)
-        gamma_expected = _TABLE_GAMMA_POW_N[n]
-        density_expected = _TABLE_DENSITY[n]
-        kiss_expected = _TABLE_KISSING.get(n)
-        density_match = (
-            abs(inv.density - density_expected) <= _DENSITY_RTOL * density_expected
-        )
-        row = {
+        name, gamma_expected, kiss_expected = _TABLE[n]
+        inv = invs[n] = lattice_invariants(standard_lattice(name))
+        gamma_match = inv.hermite_pow_n == gamma_expected
+        kissing_match = (inv.kissing == kiss_expected) if kiss_expected else None
+        rows.append({
             "n": n,
             "lattice": name,
             "lambda1_sq": rat_str(inv.lambda1_sq),
             "covolume_sq": rat_str(inv.covolume_sq),
             "gamma_pow_n": rat_str(inv.hermite_pow_n),
             "gamma_pow_n_expected": rat_str(gamma_expected),
-            "gamma_match": inv.hermite_pow_n == gamma_expected,
+            "gamma_match": gamma_match,
             "nu_n": unit_ball_volume(n),
             "density": inv.density,
-            "density_expected": density_expected,
-            "density_match": density_match,
             "kissing": inv.kissing,
             "kissing_expected": kiss_expected,
-            "kissing_match": (inv.kissing == kiss_expected) if kiss_expected else None,
-        }
-        rows.append(row)
-        gammas[n] = inv.hermite
-    mordell = []
-    for n in sorted(gammas):
-        if n - 1 in gammas and n >= 3:
-            bound = gammas[n - 1] ** ((n - 1) / (n - 2))
-            mordell.append(
-                {"n": n, "gamma_n": gammas[n], "bound": bound, "ok": gammas[n] <= bound + 1e-12}
-            )
-    all_match = all(
-        r["gamma_match"] and r["density_match"] and r["kissing_match"] is not False
-        for r in rows
-    ) and all(m["ok"] for m in mordell)
+            "kissing_match": kissing_match,
+            "match": gamma_match and kissing_match is not False,
+        })
+    mordell = [  # ok: both sides to the power n(n-2), g_n^{n-2} <= g_{n-1}^n with g = gamma^n
+        {"n": n, "gamma_n": inv.hermite, "bound": prev.hermite ** ((n - 1) / (n - 2)),
+         "ok": inv.hermite_pow_n ** (n - 2) <= prev.hermite_pow_n**n}
+        for n, inv in sorted(invs.items()) if n >= 3 and (prev := invs.get(n - 1))
+    ]
+    all_match = all(r["match"] for r in rows) and all(m["ok"] for m in mordell)
     return {"rows": rows, "mordell": mordell, "all_match": all_match}

@@ -5,6 +5,7 @@ lines and timings. Every tolerance is pinned here, not configurable.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as Q
@@ -101,9 +102,13 @@ def test_criterion_3_lattice_table():
     elapsed = time.perf_counter() - t0
     rows = {r["n"]: r for r in rep["rows"]}
     known_kissing = {1: 2, 2: 6, 3: 12, 4: 24, 8: 240}
+    # closed-form densities, SPLAG Table 1.2
+    pi, r2, r3 = math.pi, math.sqrt(2), math.sqrt(3)
+    density = {1: 1.0, 2: pi / (2 * r3), 3: pi / (3 * r2), 4: pi**2 / 16, 5: pi**2 / (15 * r2),
+               6: pi**3 / (48 * r3), 7: pi**3 / 105, 8: pi**4 / 384}
     ok = elapsed < 10.0 and rep["all_match"]
     for n, r in rows.items():
-        ok = ok and r["gamma_match"] and r["density_match"]
+        ok = ok and r["gamma_match"] and abs(r["density"] - density[n]) <= 1e-12 * density[n]
         if n in known_kissing:
             ok = ok and r["kissing"] == known_kissing[n]
     # root-system counts for the rows the kissing table leaves open

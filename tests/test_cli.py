@@ -388,6 +388,20 @@ def test_tables_unsupported_dimension():
     )
 
 
+def test_tables_mismatch_reaches_the_cli(monkeypatch):
+    from poscert import lattice
+
+    name, _, kissing = lattice._TABLE[3]
+    monkeypatch.setitem(lattice._TABLE, 3, (name, Fraction(3), kissing))
+    res = run(["tables", "--dims", "2", "3"])
+    assert res.exit_code == 1
+    rows = {line.split()[0]: line for line in res.text.splitlines()}
+    assert rows["2"].endswith(" ok") and rows["3"].endswith(" MISMATCH")
+    res = run(["tables", "--json", "--dims", "2", "3"])
+    assert res.exit_code == 1
+    assert [(r["n"], r["match"]) for r in res.payload["rows"]] == [(2, True), (3, False)]
+
+
 def test_missing_file_is_usage_error():
     res = run(["check", "psd", "/nonexistent/nope.json"])
     assert res.exit_code == 2 and "reason" in res.payload

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -550,6 +551,24 @@ def test_table_report_enumerates_each_repeated_dimension_once(monkeypatch):
     assert [r["n"] for r in report["rows"]] == [3, 1, 2]
     assert calls == ["A3", "A1", "A2"]
     assert report["all_match"]
+
+
+def test_table_report_decides_mordell_exactly(monkeypatch):
+    # E8 sits on equality, g_8^6 = g_7^8 = 2^48 (g = gamma^n); a nudge of g_8 that the
+    # float hermite never sees must still violate the inequality
+    invariants = lattice.lattice_invariants
+
+    def nudge_e8(lat):
+        inv = invariants(lat)
+        if lat.name != "E8":
+            return inv
+        return dataclasses.replace(inv, hermite_pow_n=256 + Q(1, 10**20))
+
+    monkeypatch.setattr(lattice, "lattice_invariants", nudge_e8)
+    report = table_report((7, 8))
+    assert [m["ok"] for m in report["mordell"]] == [False]
+    assert report["mordell"][0]["n"] == 8
+    assert report["all_match"] is False
 
 
 @pytest.mark.parametrize(
