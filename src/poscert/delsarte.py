@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_values, to_gegenbauer_basis
+from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_roots, gegenbauer_values
+from .gegenbauer import to_gegenbauer_basis
 # Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
 from .gegenbauer import gegenbauer  # noqa: F401
 from .polycore import Interval, Poly, nonpositivity_witness, rat, rat_str
@@ -111,19 +112,51 @@ class LpBoundResult:
     rejection: Optional[str]
 
 
+_ROOT_SCAN_GRID = 10_000  # from this many grid points on, lp_bound evaluates f near its roots only
+
+
+def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int):
+    """Where f = 1 + sum_k x_k G_k can exceed tol: slack scan centres and grid indices.
+
+    Less a tail of at most tol/4, f - tol/2 keeps one sign between its roots in [-1, s], so f > tol
+    only in a gap with f > tol/4 at its middle point; 2 grid points around each root absorb root error.
+    """
+    roots = gegenbauer_roots(n, np.concatenate(([1.0 - _SIMPLEX_TOL / 2], x)), _SIMPLEX_TOL / 4)
+    roots = roots[(roots >= -1.0) & (roots <= s_f) & (np.diff(roots, prepend=-2.0) > 0)]  # a conjugate pair once
+    ends = np.concatenate(([0.0], (roots + 1.0) * (grid / (s_f + 1.0)), [float(grid)]))
+    mids = -1.0 + (s_f + 1.0) * (np.round((ends[:-1] + ends[1:]) / 2) / grid)
+    up = 1.0 + x @ gegenbauer_values(n, len(x), mids)[1:] > _SIMPLEX_TOL / 4
+    probe = np.zeros(grid + 1, dtype=bool)
+    probe[np.clip(np.floor(ends[1:-1, None]).astype(int) + np.arange(-2, 3), 0, grid)] = True
+    for a, b, v in zip(ends, ends[1:], up):
+        probe[ceil(a):int(b) + 1] |= v
+    return np.concatenate(([-1.0, s_f], roots, mids[up])), np.flatnonzero(probe)
+
+
+def _window_max(n: int, coeffs: np.ndarray, centres: np.ndarray, half: float, lo: float, hi: float) -> float:
+    """Max of coeffs.G in [lo, hi] at 65 points across each centre +- half, then 65 around each best one."""
+    top = -np.inf
+    for _ in range(2):
+        ts = np.clip(centres[:, None] + np.linspace(-half, half, 65), lo, hi)
+        vals = (coeffs @ gegenbauer_values(n, len(coeffs) - 1, ts.ravel())).reshape(ts.shape)
+        top, centres, half = max(top, vals.max()), ts[np.arange(len(ts)), vals.argmax(axis=1)], half / 32
+    return float(top)
+
+
 def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     """Delsarte LP on a uniform grid, then one computed slack on c_0.
 
     Minimizes f(1) over f = sum_{k<=d} c_k G_k^{(n)} with c_0 = 1 and
     c_k >= 0, subject to f(t_i) <= 0 at grid+1 equally spaced points of
     [-1, s]. One simplex tableau holds a working set of grid points: after
-    each solve, every point where f exceeds the simplex tolerance joins
-    it, and once none is left the optimum is that of the whole grid.
-    Between grid points the float solution can exceed 0, so c_0 is
-    lowered by the maximum of a float scan of f there before an exact
-    check; a rejected check rescans f across its witness interval. The
-    repair only ever weakens the bound. When that slack would reach
-    c_0 = 1, no certificate is returned.
+    each solve, every point where f exceeds the simplex tolerance joins it,
+    and once none is left the optimum is that of the whole grid. From
+    ``_ROOT_SCAN_GRID`` points on f is evaluated only where it can exceed
+    that (:func:`_root_probes`). Between grid points the float solution can
+    exceed 0, so c_0 is lowered by the maximum of a float scan of f there
+    before an exact check; a rejected check rescans f across its witness
+    interval. The repair only ever weakens the bound. When that slack would
+    reach c_0 = 1, no certificate is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -138,41 +171,48 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
         raise ValueError("grid must be at least d + 2")
 
     s_f = float(s_exact)
-    ts = -1.0 + (s_f + 1.0) * (np.arange(grid + 1) / grid)
-    ts[-1] = s_f
-    G = gegenbauer_values(n, d, ts)[1:]
+    whole = grid < _ROOT_SCAN_GRID or s_f == -1.0  # at s = -1 every grid point is -1
 
-    # Primal: min sum_k x_k  s.t.  sum_k (-G_k(t_i)) x_k >= 1, x >= 0.
-    # Solved through its dual, max 1.y s.t. M^T y <= 1, y >= 0, whose
-    # tableau has d rows and a column per working grid point; the primal
-    # solution sits under the dual slack columns of the objective row. The
-    # set grows strictly, and a dual unbounded on it is so on the grid.
+    def points(idx):  # the grid points at indices idx, bit for bit; the last one is s
+        return np.where(idx == grid, s_f, -1.0 + (s_f + 1.0) * (idx / grid))
+
+    def values(idx):  # G_1..G_d at the grid points of indices idx
+        return G[:, idx] if whole else gegenbauer_values(n, d, points(idx))[1:]
+    G = gegenbauer_values(n, d, points(np.arange(grid + 1)))[1:] if whole else None
+
+    # Primal: min sum_k x_k  s.t.  sum_k (-G_k(t_i)) x_k >= 1, x >= 0. Solved through its
+    # dual, max 1.y s.t. M^T y <= 1, y >= 0, whose tableau has d rows and a column per
+    # working grid point; the primal solution sits under the dual slack columns of the
+    # objective row. The set grows strictly, and a dual unbounded on it is so on the grid.
     work = np.zeros(grid + 1, dtype=bool)
-    work[np.linspace(0, grid, min(grid + 1, 4 * d + 2)).astype(int)] = True
-    tableau = Tableau(np.ones(int(work.sum())), -G[:, work], np.ones(d))
+    new = np.linspace(0, grid, min(grid + 1, 4 * d + 2)).astype(int)  # distinct: steps >= 1
+    tableau = Tableau(np.ones(new.size), -values(new), np.ones(d))
     while True:
+        work[new] = True
         res = simplex_max(tableau)
         if res.status == "unbounded":
             raise LpInfeasible(
                 f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
             )
         x = np.maximum(res.reduced_costs[-d:], 0.0)
-        f = 1.0 + x @ G
-        violated = (f > _SIMPLEX_TOL) & ~work
-        if not violated.any():
+        centres, idx = (None, np.arange(grid + 1)) if whole else _root_probes(n, x, s_f, grid)
+        cols = G if whole else values(idx)
+        f = 1.0 + x @ cols
+        keep = (f > _SIMPLEX_TOL) & ~work[idx]
+        if not keep.any():
             break
-        work |= violated
-        tableau.add_columns(np.ones(int(violated.sum())), -G[:, violated])
+        new = idx[keep]
+        tableau.add_columns(np.ones(new.size), -cols[:, keep])
     float_bound = 1.0 + res.objective
     float_coeffs = np.concatenate(([1.0], x))
 
-    # c_1..c_d rounded once to 2^-32 (exact floats), then f scanned within one
-    # grid step of each local maximum of the grid values f(t_i).
+    # c_1..c_d rounded once to 2^-32 (exact floats), then f scanned within one grid
+    # step of each local maximum of the grid values f(t_i), or of the last centres.
     rounded = np.round(float_coeffs * 2**32) / 2**32
-    up = np.diff(f) > 0
-    peaks = ts[np.concatenate(([True], up)) & np.concatenate((~up, [True]))]
-    scan = np.clip((peaks[:, None] + np.linspace(-1, 1, 65) * (ts[1] - ts[0])).ravel(), -1.0, s_f)
-    peak = float((rounded @ gegenbauer_values(n, d, scan)).max())
+    if whole:
+        up = np.diff(f) > 0
+        centres = points(np.flatnonzero(np.concatenate(([True], up)) & np.concatenate((~up, [True]))))
+    peak = _window_max(n, rounded, centres, (s_f + 1.0) / grid, -1.0, s_f)
     noise = 1e-12 * float(rounded.sum())  # rounding noise at the exact optima
     unit = step = Fraction(1, 2**32)
     slack = 0 if peak <= noise else ceil((peak + noise) * 2**32) * unit
@@ -183,8 +223,9 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
             return LpBoundResult(float_coeffs, float_bound, certificate, None)
         except CertificateRejection as exc:
             # the rescan's maximum, or 1, 8, 64, ... units more if it finds less
-            top = rounded @ gegenbauer_values(n, d, np.linspace(*map(float, exc.witness), 65))
-            slack, step = max(slack + step, ceil((top.max() + noise) * 2**32) * unit), step * 8
+            a, b = map(float, exc.witness)
+            top = _window_max(n, rounded, np.array([(a + b) / 2]), (b - a) / 2, a, b)
+            slack, step = max(slack + step, ceil((top + noise) * 2**32) * unit), step * 8
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
 

@@ -89,6 +89,25 @@ def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
     return out
 
 
+def gegenbauer_roots(n: int, c, drop: float) -> np.ndarray:
+    """Sorted real parts of the roots of sum_k c_k G_k^{(n)}, the eigenvalues of its comrade matrix.
+
+    Row r is :func:`_table`'s t G_r = a_r G_{r+1} + b_r G_{r-1}: a_r = (r+n-2)/(2r+n-2), a_0 = 1,
+    b_r = r/(2r+n-2); the last also takes G_D = -sum_{j<D} c_j G_j / c_D. Trailing c_k with sum
+    |c_k| <= ``drop`` are dropped first: as |G_k| <= 1 on [-1, 1], f moves by at most ``drop`` there.
+    """
+    _check_dim(n)
+    c = np.asarray(c, dtype=float)
+    D = int(np.count_nonzero(np.cumsum(np.abs(c[::-1])) > drop)) - 1
+    if D < 1:
+        return np.empty(0)
+    r = np.arange(1, D)
+    a = np.concatenate(([1.0], (r + n - 2) / (2 * r + n - 2)))
+    M = np.diag(a[:-1], 1) + np.diag(r / (2 * r + n - 2), -1)
+    M[-1] -= a[-1] * c[:D] / c[D]
+    return np.sort(np.linalg.eigvals(M).real)
+
+
 def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
     """Exact coefficients c with p = sum_k c_k G_k^{(n)}.
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -116,7 +117,14 @@ def test_lp_bound_one_exact_check_per_bound(verify_calls):
     assert len(verify_calls) == 22
 
 
-@pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (20, 16, 40000), (20, 12, 80000), (11, 20, 2000)])
+@pytest.mark.parametrize("n, d, grid", [(11, 20, 2000), (3, 40, 2000), (3, 200, 2000)])
+def test_lp_bound_zoomed_slack_scan_passes_the_first_check(verify_calls, n, d, grid):
+    # f peaks between the 65 samples of a window: near t = -0.998 in dimension 3
+    assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
+    assert len(verify_calls) == 1
+
+
+@pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (20, 16, 40000), (20, 12, 80000)])
 def test_lp_bound_rejected_check_rescans_its_witness(verify_calls, n, d, grid):
     # the first slack misses the excess; the witness rescan's slack then passes
     assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
@@ -131,6 +139,14 @@ def test_lp_bound_overshoot_between_grid_points(verify_calls):
     assert res.rejection.startswith("f exceeds 0 between grid points by 3.6")
     assert res.rejection.endswith("so c_0 = 1 cannot absorb it")
     assert not verify_calls
+
+
+@pytest.mark.parametrize("grid", [100, 10000, 50000])
+def test_lp_bound_antipodal(grid):
+    # at cos -1 every grid point is t = -1, and the optimum is 2 from degree 1 on
+    for d in (1, 2, 5):
+        res = lp_bound(3, -1, d, grid)
+        assert res.float_bound == 2.0 and res.certificate.bound == 2
 
 
 def test_lp_bound_infeasible():
@@ -172,8 +188,7 @@ def full_grid_optimum(n, s, d, grid):
     ts = -1.0 + (float(s) + 1.0) * (np.arange(grid + 1) / grid)
     ts[-1] = float(s)
     res = Tableau(np.ones(grid + 1), -gegenbauer_values(n, d, ts)[1:], np.ones(d)).solve()
-    assert res.status == "optimal"
-    return 1.0 + res.objective
+    return 1.0 + res.objective if res.status == "optimal" else None  # None: infeasible
 
 
 @pytest.mark.parametrize("n, s, d, grid", [
@@ -183,10 +198,45 @@ def full_grid_optimum(n, s, d, grid):
     pytest.param(3, Q(1, 2), 40, 2000, id="dim3-deg40-grid2000"),
     pytest.param(5, Q(0), 8, 2000, id="dim5-deg8-cos0"),
     pytest.param(3, Q(1, 2), 50, 150, id="dim3-deg50-whole-grid-at-start"),
+    # from delsarte._ROOT_SCAN_GRID points on, f is evaluated near its roots only
+    pytest.param(2, Q(1, 2), 9, 10000, id="dim2-deg9-grid10000"),
+    pytest.param(6, Q(0), 7, 12000, id="dim6-deg7-cos0"),
+    pytest.param(9, Q(-1, 9), 5, 20000, id="dim9-deg5-cos-1/n"),
+    pytest.param(4, Q(9, 10), 14, 30000, id="dim4-deg14-cos9/10"),
+    pytest.param(3, Q(-1, 2), 1, 10000, id="dim3-deg1-cos-half-grid10000"),
+    pytest.param(5, Q(-1, 2), 2, 15000, id="dim5-deg2-cos-half-grid15000"),
 ])
 def test_working_set_optimum_is_the_grid_optimum(n, s, d, grid):
     value = full_grid_optimum(n, s, d, grid)
+    assert value is not None
     assert abs(lp_bound(n, s, d, grid).float_bound - value) <= 1e-8 * value
+
+
+def test_root_scan_matches_the_grid_optimum_on_random_cases():
+    # the optimum, or infeasibility, of the LP over every grid column at once
+    rng = random.Random(29)
+    for _ in range(20):
+        n, d, grid = rng.randint(2, 24), rng.randint(1, 14), rng.randint(10000, 30000)
+        s = rng.choice([Q(1, 2), Q(0), Q(-1, n), Q(1, 3), Q(9, 10)])
+        value = full_grid_optimum(n, s, d, grid)
+        if value is None:
+            with pytest.raises(LpInfeasible):
+                lp_bound(n, s, d, grid)
+            continue
+        assert abs(lp_bound(n, s, d, grid).float_bound - value) <= 1e-8 * value, (n, s, d, grid)
+
+
+@pytest.mark.parametrize("n, d, grid, path", [(12, 11, 100000, "roots"), (12, 11, 9999, "whole")])
+def test_fine_grids_evaluate_f_near_its_roots_only(monkeypatch, n, d, grid, path):
+    sizes = []
+
+    def counted(n, kmax, ts):
+        sizes.append(np.size(ts))
+        return gegenbauer_values(n, kmax, ts)
+
+    monkeypatch.setattr(delsarte, "gegenbauer_values", counted)
+    assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
+    assert (max(sizes) < grid / 10) == (path == "roots")
 
 
 @pytest.fixture
@@ -234,6 +284,17 @@ def test_working_set_stays_far_below_the_grid(simplex_widths, n, d, grid):
     assert simplex_widths[0] == 4 * d + 2
     assert all(a < b for a, b in zip(simplex_widths, simplex_widths[1:]))
     assert simplex_widths[-1] < (grid + 1) / 10
+
+
+@pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (24, 10, 50000), (3, 14, 80000), (16, 15, 60000)])
+def test_root_scan_builds_the_whole_grid_working_sets(monkeypatch, simplex_widths, n, d, grid):
+    # every round adds exactly the points a scan of the whole grid adds
+    roots = lp_bound(n, Q(1, 2), d, grid).float_bound
+    widths = simplex_widths[:]
+    simplex_widths.clear()
+    monkeypatch.setattr(delsarte, "_ROOT_SCAN_GRID", grid + 1)
+    assert lp_bound(n, Q(1, 2), d, grid).float_bound == roots
+    assert simplex_widths == widths
 
 
 @pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (12, 11, 100000)])

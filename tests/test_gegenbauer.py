@@ -9,6 +9,7 @@ from poscert.gegenbauer import (
     GegenbauerCoeffs,
     expand_gegenbauer,
     gegenbauer,
+    gegenbauer_roots,
     gegenbauer_values,
     normalized_moment,
     to_gegenbauer_basis,
@@ -87,6 +88,45 @@ def test_float_values_follow_the_recurrence_bit_for_bit():
             vals = gegenbauer_values(n, kmax, ts)
             assert vals.shape == (kmax + 1,) + ts.shape
             assert np.array_equal(vals, reference(n, kmax, ts))
+
+
+def test_roots_of_a_single_polynomial_are_the_classical_nodes():
+    # Chebyshev T_k at n = 2, Legendre at n = 3, Chebyshev U_k at n = 4
+    for k in range(1, 13):
+        e = np.zeros(k + 1)
+        e[k] = 1.0
+        j = np.arange(1, k + 1)
+        for n, nodes in ((2, np.cos((2 * j - 1) * np.pi / (2 * k))), (3, np.polynomial.legendre.legroots(e)),
+                         (4, np.cos(j * np.pi / (k + 1)))):
+            assert np.allclose(gegenbauer_roots(n, e, 0.0), np.sort(nodes), rtol=0, atol=1e-13)
+
+
+def test_roots_bracket_every_sign_change():
+    rng = np.random.default_rng(3)
+    ts = np.linspace(-1.0, 1.0, 2001)
+    for n in (2, 3, 8, 24):
+        c = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, 10)))  # mean 0: a sign change
+        roots = gegenbauer_roots(n, c, 0.0)
+        assert roots.size == 10 and np.all(np.diff(roots) >= 0)
+        f = c @ gegenbauer_values(n, 10, ts)
+        changes = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+        assert changes.size
+        for i in changes:
+            assert np.any((ts[i] <= roots) & (roots <= ts[i + 1]))
+
+
+def test_roots_without_a_nonconstant_term():
+    assert gegenbauer_roots(3, [2.0, 0.0, 0.0], 0.0).size == 0
+    assert gegenbauer_roots(8, [0.0, 0.0], 0.0).size == 0
+    assert gegenbauer_roots(8, [], 0.0).size == 0
+
+
+@pytest.mark.parametrize("tiny", [1e-17, 1e-200, 5e-324])
+def test_roots_drop_a_negligible_tail(tiny):
+    # without the drop, 1e-200 puts the roots at 0 and 5e-324 overflows the last row
+    expected = gegenbauer_roots(3, [-0.2, 0.1, 1.0], 0.0)
+    assert expected.size == 2 and expected[0] < 0 < expected[1]
+    assert np.array_equal(gegenbauer_roots(3, [-0.2, 0.1, 1.0, tiny, 0.0], 1e-16), expected)
 
 
 def test_classical_families():
