@@ -115,8 +115,8 @@ class LpBoundResult:
 _ROOT_SCAN_GRID = 10_000  # from this many grid points on, lp_bound evaluates f near its roots only
 
 
-def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int):
-    """Where f = 1 + sum_k x_k G_k can exceed tol: slack scan centres and grid indices.
+def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int) -> np.ndarray:
+    """The grid indices where f = 1 + sum_k x_k G_k can exceed tol.
 
     Less a tail of at most tol/4, f - tol/2 keeps one sign between its roots in [-1, s], so f > tol
     only in a gap with f > tol/4 at its middle point; 2 grid points around each root absorb root error.
@@ -130,17 +130,18 @@ def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int):
     probe[np.clip(np.floor(ends[1:-1, None]).astype(int) + np.arange(-2, 3), 0, grid)] = True
     for a, b, v in zip(ends, ends[1:], up):
         probe[ceil(a):int(b) + 1] |= v
-    return np.concatenate(([-1.0, s_f], roots, mids[up])), np.flatnonzero(probe)
+    return np.flatnonzero(probe)
 
 
-def _window_max(n: int, coeffs: np.ndarray, centres: np.ndarray, half: float, lo: float, hi: float) -> float:
-    """Max of coeffs.G in [lo, hi] at 65 points across each centre +- half, then 65 around each best one."""
-    top = -np.inf
-    for _ in range(2):
-        ts = np.clip(centres[:, None] + np.linspace(-half, half, 65), lo, hi)
-        vals = (coeffs @ gegenbauer_values(n, len(coeffs) - 1, ts.ravel())).reshape(ts.shape)
-        top, centres, half = max(top, vals.max()), ts[np.arange(len(ts)), vals.argmax(axis=1)], half / 32
-    return float(top)
+def _peak(n: int, c: np.ndarray, lo: float, hi: float) -> float:
+    """Max of f = sum_k c_k G_k^{(n)} on [lo, hi], in floats: f at lo, hi and the real roots of f' between.
+
+    f' = sum_{k>=1} c_k k(k+n-2)/(n-1) G_{k-1}^{(n+2)}, so its roots are those of a comrade matrix.
+    """
+    k = np.arange(1, len(c))
+    roots = gegenbauer_roots(n + 2, c[1:] * (k * (k + n - 2) / (n - 1)), 0.0)
+    ts = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
+    return float((c @ gegenbauer_values(n, len(c) - 1, ts)).max())
 
 
 def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
@@ -153,10 +154,11 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     and once none is left the optimum is that of the whole grid. From
     ``_ROOT_SCAN_GRID`` points on f is evaluated only where it can exceed
     that (:func:`_root_probes`). Between grid points the float solution can
-    exceed 0, so c_0 is lowered by the maximum of a float scan of f there
-    before an exact check; a rejected check rescans f across its witness
-    interval. The repair only ever weakens the bound. When that slack would
-    reach c_0 = 1, no certificate is returned.
+    exceed 0, so c_0 is lowered by the peak of f on [-1, s], taken at the
+    critical points of f (:func:`_peak`), before an exact check; a rejected
+    check takes the peak across its witness interval. The repair only ever
+    weakens the bound. When that slack would reach c_0 = 1, no certificate
+    is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -195,7 +197,7 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
                 f"no degree-{d} combination is <= 0 on the whole grid (dual unbounded)"
             )
         x = np.maximum(res.reduced_costs[-d:], 0.0)
-        centres, idx = (None, np.arange(grid + 1)) if whole else _root_probes(n, x, s_f, grid)
+        idx = np.arange(grid + 1) if whole else _root_probes(n, x, s_f, grid)
         cols = G if whole else values(idx)
         f = 1.0 + x @ cols
         keep = (f > _SIMPLEX_TOL) & ~work[idx]
@@ -206,13 +208,9 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     float_bound = 1.0 + res.objective
     float_coeffs = np.concatenate(([1.0], x))
 
-    # c_1..c_d rounded once to 2^-32 (exact floats), then f scanned within one grid
-    # step of each local maximum of the grid values f(t_i), or of the last centres.
+    # c_1..c_d rounded once to 2^-32 (exact floats); the slack is the peak of that f on [-1, s]
     rounded = np.round(float_coeffs * 2**32) / 2**32
-    if whole:
-        up = np.diff(f) > 0
-        centres = points(np.flatnonzero(np.concatenate(([True], up)) & np.concatenate((~up, [True]))))
-    peak = _window_max(n, rounded, centres, (s_f + 1.0) / grid, -1.0, s_f)
+    peak = _peak(n, rounded, -1.0, s_f)
     noise = 1e-12 * float(rounded.sum())  # rounding noise at the exact optima
     unit = step = Fraction(1, 2**32)
     slack = 0 if peak <= noise else ceil((peak + noise) * 2**32) * unit
@@ -222,9 +220,8 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
             certificate = verify_certificate(n, s_exact, poly + Poly.constant(1 - slack))
             return LpBoundResult(float_coeffs, float_bound, certificate, None)
         except CertificateRejection as exc:
-            # the rescan's maximum, or 1, 8, 64, ... units more if it finds less
-            a, b = map(float, exc.witness)
-            top = _window_max(n, rounded, np.array([(a + b) / 2]), (b - a) / 2, a, b)
+            # the witness interval's peak, or 1, 8, 64, ... units more if that is less
+            top = _peak(n, rounded, *map(float, exc.witness))
             slack, step = max(slack + step, ceil((top + noise) * 2**32) * unit), step * 8
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)

@@ -102,7 +102,8 @@ class Tableau:
             basis[leave] = enter
             pivots += 1
             stall = stall + 1 if -costs[enter] * x[leave] <= _TOL else 0
-        else:  # pragma: no cover - Bland's rule terminates
+        else:  # Bland's rule terminates in exact arithmetic, not in floats: lp_bound(200, 1/2, 60, 2000)
+            # pivots _MAX_ITER times here while its dual objective drifts to about 4e16
             raise RuntimeError("simplex iteration limit exceeded")
 
         # y.b, not c_B x_B: over long runs x_B drifts further than y does

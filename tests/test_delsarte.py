@@ -117,11 +117,34 @@ def test_lp_bound_one_exact_check_per_bound(verify_calls):
     assert len(verify_calls) == 22
 
 
-@pytest.mark.parametrize("n, d, grid", [(11, 20, 2000), (3, 40, 2000), (3, 200, 2000)])
-def test_lp_bound_zoomed_slack_scan_passes_the_first_check(verify_calls, n, d, grid):
-    # f peaks between the 65 samples of a window: near t = -0.998 in dimension 3
+@pytest.mark.parametrize("n, d, grid", [(11, 20, 2000), (3, 40, 2000), (3, 200, 2000), (24, 300, 2000)])
+def test_lp_bound_peak_between_grid_points_passes_the_first_check(verify_calls, n, d, grid):
+    # f peaks between grid points: near t = -0.998 in dimension 3, and near t = -0.9996,
+    # between the first two grid points, in dimension 24
     assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
     assert len(verify_calls) == 1
+
+
+def dense_max(n, c, lo, hi):
+    # f at 200,001 equally spaced points of [lo, hi], both ends included
+    ts = np.linspace(lo, hi, 200_001)
+    return max(float((c @ gegenbauer_values(n, len(c) - 1, part)).max()) for part in np.array_split(ts, 20))
+
+
+def test_peak_matches_a_dense_scan():
+    rng = np.random.default_rng(31)
+    cases = [(8, np.array([0.0, 0.0, 1.0]), -1.0, -0.5)]  # G_2 = (8t^2 - 1)/7 peaks at the end t = -1
+    for _ in range(12):
+        n, d = int(rng.choice([2, 3, 8, 24])), int(rng.integers(1, 41))
+        c = rng.uniform(0.0, 1.0, d + 1) * (rng.uniform(size=d + 1) < 0.7)  # c >= 0, some c_k = 0
+        s = float(rng.uniform(-1.0, 1.0))
+        lo, hi = np.sort(rng.uniform(-1.0, s, 2))
+        cases += [(n, c, -1.0, s), (n, c, float(lo), float(hi))]
+    for n, c, lo, hi in cases:
+        peak, dense = delsarte._peak(n, c, lo, hi), dense_max(n, c, lo, hi)
+        assert dense <= peak + 1e-12 * c.sum(), (n, c, lo, hi)
+        assert peak <= dense + 1e-6 * c.sum(), (n, c, lo, hi)
+    assert delsarte._peak(*cases[0]) == 1.0
 
 
 @pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (20, 16, 40000), (20, 12, 80000)])

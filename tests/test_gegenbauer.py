@@ -90,6 +90,15 @@ def test_float_values_follow_the_recurrence_bit_for_bit():
             assert np.array_equal(vals, reference(n, kmax, ts))
 
 
+def test_derivative_is_a_gegenbauer_polynomial_two_dimensions_up():
+    # G_k^{(n)}' = k(k+n-2)/(n-1) G_{k-1}^{(n+2)}: the critical points of sum_k c_k G_k^{(n)}
+    # are roots of an expansion in dimension n + 2 (delsarte._peak)
+    for n in range(2, 9):
+        for k in range(1, 21):
+            derivative = Poly([j * c for j, c in enumerate(gegenbauer(n, k).coeffs)][1:])
+            assert derivative == Poly.constant(Q(k * (k + n - 2), n - 1)) * gegenbauer(n + 2, k - 1)
+
+
 def test_roots_of_a_single_polynomial_are_the_classical_nodes():
     # Chebyshev T_k at n = 2, Legendre at n = 3, Chebyshev U_k at n = 4
     for k in range(1, 13):
