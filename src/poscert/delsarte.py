@@ -133,14 +133,14 @@ def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int) -> np.ndarray:
     return np.flatnonzero(probe)
 
 
-def _peak(n: int, c: np.ndarray, lo: float, hi: float) -> float:
-    """Max of f = sum_k c_k G_k^{(n)} on [lo, hi], in floats: f at lo, hi and the real roots of f' between.
+def _peak(n: int, c: np.ndarray, hi: float) -> float:
+    """Max of f = sum_k c_k G_k^{(n)} on [-1, hi], in floats: f at -1, hi and the real roots of f' between.
 
     f' = sum_{k>=1} c_k k(k+n-2)/(n-1) G_{k-1}^{(n+2)}, so its roots are those of a comrade matrix.
     """
     k = np.arange(1, len(c))
     roots = gegenbauer_roots(n + 2, c[1:] * (k * (k + n - 2) / (n - 1)), 0.0)
-    ts = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
+    ts = np.concatenate(([-1.0, hi], roots[(roots >= -1.0) & (roots <= hi)]))
     return float((c @ gegenbauer_values(n, len(c) - 1, ts)).max())
 
 
@@ -155,10 +155,10 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     ``_ROOT_SCAN_GRID`` points on f is evaluated only where it can exceed
     that (:func:`_root_probes`). Between grid points the float solution can
     exceed 0, so c_0 is lowered by the peak of f on [-1, s], taken at the
-    critical points of f (:func:`_peak`), before an exact check; a rejected
-    check takes the peak across its witness interval. The repair only ever
-    weakens the bound. When that slack would reach c_0 = 1, no certificate
-    is returned.
+    critical points of f (:func:`_peak`), plus a float margin, before an
+    exact check; a rejected check adds 1, 8, 64, ... units of 2^-32. The
+    repair only ever weakens the bound. When that slack would reach c_0 = 1,
+    no certificate is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -209,20 +209,18 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     float_coeffs = np.concatenate(([1.0], x))
 
     # c_1..c_d rounded once to 2^-32 (exact floats); the slack is the peak of that f on [-1, s]
+    # plus 1e-12 sum(c) of float error, and 0 when f peaks at or below 0 (the exact optima)
     rounded = np.round(float_coeffs * 2**32) / 2**32
-    peak = _peak(n, rounded, -1.0, s_f)
-    noise = 1e-12 * float(rounded.sum())  # rounding noise at the exact optima
+    peak = _peak(n, rounded, s_f)
     unit = step = Fraction(1, 2**32)
-    slack = 0 if peak <= noise else ceil((peak + noise) * 2**32) * unit
+    slack = 0 if peak <= 0 else ceil((peak + 1e-12 * float(rounded.sum())) * 2**32) * unit
     poly = expand_gegenbauer(n, [0] + [Fraction(c) for c in rounded[1:]])
     while slack < 1:
         try:
             certificate = verify_certificate(n, s_exact, poly + Poly.constant(1 - slack))
             return LpBoundResult(float_coeffs, float_bound, certificate, None)
-        except CertificateRejection as exc:
-            # the witness interval's peak, or 1, 8, 64, ... units more if that is less
-            top = _peak(n, rounded, *map(float, exc.witness))
-            slack, step = max(slack + step, ceil((top + noise) * 2**32) * unit), step * 8
+        except CertificateRejection:
+            slack, step = slack + step, step * 8
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
 

@@ -150,6 +150,20 @@ def test_schur_verify():
     assert res.exit_code == 0 and res.payload["agree"]
 
 
+def test_schur_verify_reports_a_series_mismatch(monkeypatch):
+    formula = cli.schurdet.det_series_formula
+
+    def off_by_one(f, u, v, cutoff):  # the constant coefficient, one too large
+        series = formula(f, u, v, cutoff)
+        return cli.schurdet.TruncatedSeries.make(cutoff, (series.coeffs[0] + 1,) + series.coeffs[1:])
+
+    monkeypatch.setattr(cli.schurdet, "det_series_formula", off_by_one)
+    res = run(["schur", "verify", "--N", "3", "--degree", "4", "--seed", "0", "--trials", "2"])
+    assert res.exit_code == 1
+    assert res.payload["agree"] is False and res.payload["reason"] == "series mismatch"
+    assert len(res.payload["u"]) == len(res.payload["v"]) == 3 and len(res.payload["f"]) == 5
+
+
 @pytest.mark.parametrize("argv, limit", [
     pytest.param(["check", "preserver", "--power", "38.5", "--dim", "50"], f"|power| < {MAX_WITNESS_BLOCK - 2}",
                  id="preserver-block-above-limit"),

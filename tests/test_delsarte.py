@@ -72,8 +72,8 @@ def test_certificate_json_round_trip():
 
 
 # Exact optima: 3 for degree 1 at cos -1/2, 2n at cos 0 (cross-polytope)
-# and n + 1 at cos -1/n (regular simplex). The float scan finds nothing
-# above rounding noise there, so the slack is 0 and the bound is exact.
+# and n + 1 at cos -1/n (regular simplex). The float peak of f on [-1, s] is
+# at most 0 there, so the slack is 0 and the bound is exact.
 @pytest.mark.parametrize("n, s, d, grid, value", [
     pytest.param(3, Q(-1, 2), 1, 200, 3, id="dim3-deg1-cos-half"),
     pytest.param(5, Q(-1, 2), 1, 200, 3, id="dim5-deg1-cos-half"),
@@ -117,41 +117,46 @@ def test_lp_bound_one_exact_check_per_bound(verify_calls):
     assert len(verify_calls) == 22
 
 
-@pytest.mark.parametrize("n, d, grid", [(11, 20, 2000), (3, 40, 2000), (3, 200, 2000), (24, 300, 2000)])
+@pytest.mark.parametrize("n, d, grid", [
+    (11, 20, 2000), (3, 40, 2000), (3, 200, 2000), (24, 300, 2000),
+    (24, 10, 50000), (20, 16, 40000), (20, 12, 80000),
+])
 def test_lp_bound_peak_between_grid_points_passes_the_first_check(verify_calls, n, d, grid):
     # f peaks between grid points: near t = -0.998 in dimension 3, and near t = -0.9996,
-    # between the first two grid points, in dimension 24
+    # between the first two grid points, in dimension 24; on the fine grids the peak
+    # (3e-8 to 1e-7) is below the float margin 1e-12 sum(c) added to it
     assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
     assert len(verify_calls) == 1
 
 
-def dense_max(n, c, lo, hi):
-    # f at 200,001 equally spaced points of [lo, hi], both ends included
-    ts = np.linspace(lo, hi, 200_001)
+@pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (23, 13, 2000), (8, 6, 2000)])
+def test_lp_bound_rejected_checks_escalate_the_slack(monkeypatch, verify_calls, n, d, grid):
+    # with the peak read as 0 the first slack is 0; each rejected check adds 1, 8, 64, ... units
+    monkeypatch.setattr(delsarte, "_peak", lambda n, c, hi: 0.0)
+    res = lp_bound(n, Q(1, 2), d, grid)
+    assert res.certificate is not None, res.rejection
+    assert len(verify_calls) > 1
+    assert float(res.certificate.bound) >= res.float_bound * (1 - 1e-9)
+
+
+def dense_max(n, c, hi):
+    # f at 200,001 equally spaced points of [-1, hi], both ends included
+    ts = np.linspace(-1.0, hi, 200_001)
     return max(float((c @ gegenbauer_values(n, len(c) - 1, part)).max()) for part in np.array_split(ts, 20))
 
 
 def test_peak_matches_a_dense_scan():
     rng = np.random.default_rng(31)
-    cases = [(8, np.array([0.0, 0.0, 1.0]), -1.0, -0.5)]  # G_2 = (8t^2 - 1)/7 peaks at the end t = -1
-    for _ in range(12):
+    cases = [(8, np.array([0.0, 0.0, 1.0]), -0.5)]  # G_2 = (8t^2 - 1)/7 peaks at the end t = -1
+    for _ in range(24):
         n, d = int(rng.choice([2, 3, 8, 24])), int(rng.integers(1, 41))
         c = rng.uniform(0.0, 1.0, d + 1) * (rng.uniform(size=d + 1) < 0.7)  # c >= 0, some c_k = 0
-        s = float(rng.uniform(-1.0, 1.0))
-        lo, hi = np.sort(rng.uniform(-1.0, s, 2))
-        cases += [(n, c, -1.0, s), (n, c, float(lo), float(hi))]
-    for n, c, lo, hi in cases:
-        peak, dense = delsarte._peak(n, c, lo, hi), dense_max(n, c, lo, hi)
-        assert dense <= peak + 1e-12 * c.sum(), (n, c, lo, hi)
-        assert peak <= dense + 1e-6 * c.sum(), (n, c, lo, hi)
+        cases.append((n, c, float(rng.uniform(-1.0, 1.0))))
+    for n, c, hi in cases:
+        peak, dense = delsarte._peak(n, c, hi), dense_max(n, c, hi)
+        assert dense <= peak + 1e-12 * c.sum(), (n, c, hi)
+        assert peak <= dense + 1e-6 * c.sum(), (n, c, hi)
     assert delsarte._peak(*cases[0]) == 1.0
-
-
-@pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (20, 16, 40000), (20, 12, 80000)])
-def test_lp_bound_rejected_check_rescans_its_witness(verify_calls, n, d, grid):
-    # the first slack misses the excess; the witness rescan's slack then passes
-    assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
-    assert len(verify_calls) == 2
 
 
 def test_lp_bound_overshoot_between_grid_points(verify_calls):

@@ -121,6 +121,8 @@ def test_short_vectors_pairing_and_sorting():
 
 def test_short_vectors_empty_below_minimum():
     assert short_vectors(standard_lattice("E8"), Q(1)) == []
+    assert short_vectors(standard_lattice("E8"), 0) == []
+    assert short_vectors(standard_lattice("A2"), Q(-1, 2)) == []
 
 
 def test_positive_definiteness_required():
