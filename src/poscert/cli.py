@@ -22,8 +22,8 @@ from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
 from .polycore import Poly, parse_rat, rat_str
 
 # Size limits; README ("CLI") has the timings behind them. A `schur verify` trial at
-# N = 17 and degree 24 (Berkowitz on series of 7 terms) takes 0.16 s on average on a
-# 2-vCPU Xeon VM with Python 3.11.7: 200 trials take 31-33 s, the default 10 under 2 s.
+# N = 17 and degree 24 (elimination on series of 7 terms) takes 0.05 s on average on a
+# 2-vCPU Xeon VM with Python 3.11.7: 200 trials take 6.3-6.4 s, the default 10 about 0.5 s.
 MAX_SCHUR_N = 17
 MAX_SCHUR_DEGREE = 24
 MAX_SCHUR_TRIALS = 200

@@ -12,10 +12,10 @@ Both sides are computed here independently and exactly, so each serves as an
 oracle for the other. The left takes row i to its divided difference over
 u_0..u_i, sending x^m to h_{m-i}(u_0..u_i): Delta(t) = prod_{k<i} (u_i - u_k)
 t^{C(N,2)} det H, H_ij = sum_e f_{i+e} v_j^{i+e} h_e(u_0..u_i) t^e (a polynomial
-identity in u), with det H by Berkowitz's division-free algorithm (1984) in
-Z[t]/(t^{c-C(N,2)+1}). The right sums det(u_i^{n_j}) det(v_i^{n_j}) = V(u) s_n(u)
-V(v) s_n(v) over the light tuples, walked depth first: tuples with a common
-prefix share its fraction-free (Bareiss) elimination steps. Both run in integers:
+identity in u), with det H by fraction-free elimination (Bareiss 1968), O(N^3)
+products in Z[t]/(t^{c-C(N,2)+1}). The right sums det(u_i^{n_j}) det(v_i^{n_j})
+= V(u) s_n(u) V(v) s_n(v) over the light tuples, walked depth first: tuples with
+a common prefix share its fraction-free elimination steps. Both run in integers:
 one front end clears the denominators of f, u and v once, and each side divides
 its weight-M coefficient by the same (d_u d_v)^M d_f^N.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -83,46 +83,39 @@ class TruncatedSeries:
         return TruncatedSeries(cutoff, tuple(cs))
 
 
-def _mul_trunc(a: Sequence, b: Sequence, cutoff: int) -> list:
-    """Coefficients 0..cutoff of the product of two coefficient sequences.
-
-    Missing coefficients are zero. Each output is one dot product of the
-    shorter sequence, reversed, with a window of the longer one.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    ra, pb = a[::-1], [0] * (len(a) - 1) + list(b)
-    return [
-        sum(map(mul, ra, pb[k : k + len(a)]))
-        for k in range(min(len(a) + len(b) - 1, cutoff + 1))
-    ]
+def _bareiss_entry(p: list[int], x: list[int], c: list[int], y: list[int], prev: list[int]) -> list[int]:
+    """(p x - c y) / prev in Z[t]/(t^len(x)), for a quotient in Z[[t]] and prev[0] != 0."""
+    q: list[int] = []
+    for n in range(len(x)):
+        s = sum(map(mul, p[: n + 1], x[n::-1])) - sum(map(mul, c[: n + 1], y[n::-1]))
+        q.append((s - sum(map(mul, prev[1 : n + 1], q[::-1]))) // prev[0])
+    return q
 
 
-def _dot(xs: Sequence[list[int]], ys: Sequence[list[int]], cutoff: int) -> list[int]:
-    """sum_j xs[j] * ys[j] in Z[t]/(t^{cutoff+1})."""
-    prods = [_mul_trunc(x, y, cutoff) for x, y in zip(xs, ys)]
-    return [sum(col) for col in zip_longest(*prods, fillvalue=0)]
-
-
-def _det_berkowitz(a: list[list[list[int]]], cutoff: int) -> list[int]:
-    # Berkowitz's algorithm: the characteristic polynomial of the leading
-    # block A_{r+1} = [[A_r, C], [R, a_rr]] is the lower-triangular Toeplitz
-    # matrix with first column (1, -a_rr, -R C, -R A_r C, ..., -R A_r^{r-1} C)
-    # applied to that of A_r (Samuelson's formula). It uses only ring
-    # operations, so the zero divisors of the truncated ring do no harm.
-    # poly[m] is the coefficient of x^{r-m} in det(x I - A_r), so in the
-    # end det A = (-1)^N poly[N].
-    one = [1]
-    poly = [one]
-    for r in range(len(a)):
-        row, w = a[r][:r], [a[i][r] for i in range(r)]
-        col = [one, [-x for x in a[r][r]]]
-        for k in range(r):
-            col.append([-x for x in _dot(row, w, cutoff)])
-            if k < r - 1:
-                w = [_dot(a[i][:r], w, cutoff) for i in range(r)]
-        poly = [_dot(col[m::-1], poly[: m + 1], cutoff) for m in range(r + 2)]
-    return poly[-1] if len(a) % 2 == 0 else [-x for x in poly[-1]]
+def _det_series(a: list[list[list[int]]], k: int) -> list[int]:
+    # Fraction-free elimination (Bareiss 1968) in Z[t]/(t^k). Each pivot is a
+    # remaining entry with a nonzero constant term, swapped into place (a sign
+    # flip per row or column passed). Each update (p a_ij - a_ik a_kj) / prev is
+    # a minor of the matrix (with the rows divided by t below), so it lies in
+    # Z[[t]], and dividing by prev, whose constant term is nonzero, is exact one
+    # coefficient at a time. With no such entry every remaining row is divisible
+    # by t: one is divided by t, which moves a factor t into the result and
+    # costs one coefficient of precision.
+    rows = [[(x + [0] * k)[:k] for x in row] for row in a]
+    sign, shift, prev = 1, 0, [1]
+    while rows:
+        piv = next(((i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x[0]), None)
+        if piv is None:
+            if (shift := shift + 1) == k:
+                return [0] * k
+            rows = [[x[1:] for x in rows[0]]] + [[x[:-1] for x in r] for r in rows[1:]]
+            continue
+        i, j = piv
+        top, sign = rows.pop(i), sign * (-1) ** (i + j)
+        p = top.pop(j)
+        rows = [[_bareiss_entry(p, x, r[j], y, prev) for x, y in zip(r[:j] + r[j + 1 :], top)] for r in rows]
+        prev = p
+    return [0] * shift + [sign * c for c in prev]
 
 
 def _cleared(f_coeffs, u, v, cutoff):
@@ -156,7 +149,7 @@ def det_series_direct(
             h[e] += ai * h[e - 1]
         rows.append([[gm * bj ** (i + e) * he for e, (gm, he) in enumerate(zip(g[i:], h))] for bj in b])
     scale = prod(ai - ak for i, ai in enumerate(a) for ak in a[:i])
-    det = [0] * low + [scale * c for c in _det_berkowitz(rows, cutoff - low)]
+    det = [0] * low + [scale * c for c in _det_series(rows, cutoff - low + 1)]
     return TruncatedSeries.make(cutoff, list(map(Fraction, det, divisors)))
 
 

@@ -5,22 +5,25 @@ integer three-term recurrence), exact inner products under the weight
 moments (orthogonality), the psd-ness of entrywise G_k images of unit
 Gram matrices, the spherical-harmonic dimension count, and the closed
 form of the Jacobi normalization (against ``to_jacobi_basis``'s running
-product), and the series determinant det f[t u v^T] by Berkowitz on the
-whole matrix (against ``det_series_direct``'s reduced one). None of it is
-on a command's path.
+product), and the series determinant det f[t u v^T] by Berkowitz's
+division-free algorithm on the whole matrix (against ``det_series_direct``'s
+fraction-free elimination on the reduced one). None of it is on a command's
+path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from poscert.gegenbauer import _check_dim, gegenbauer_values, normalized_moment
 from poscert.polycore import Poly, RationalLike
-from poscert.schurdet import TruncatedSeries, _cleared, _det_berkowitz
+from poscert.schurdet import TruncatedSeries, _cleared
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -126,6 +129,48 @@ def gegenbauer_gram_check(n: int, k: int, points: Sequence[Sequence[float]]) -> 
         raise ValueError(f"point {int(np.argmax(bad))} is not on the unit sphere")
     vals = gegenbauer_values(n, k, pts @ pts.T)[k]
     return float(np.linalg.eigvalsh(vals).min())
+
+
+def _mul_trunc(a: Sequence, b: Sequence, cutoff: int) -> list:
+    """Coefficients 0..cutoff of the product of two coefficient sequences.
+
+    Missing coefficients are zero. Each output is one dot product of the
+    shorter sequence, reversed, with a window of the longer one.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    ra, pb = a[::-1], [0] * (len(a) - 1) + list(b)
+    return [
+        sum(map(mul, ra, pb[k : k + len(a)]))
+        for k in range(min(len(a) + len(b) - 1, cutoff + 1))
+    ]
+
+
+def _dot(xs: Sequence[list[int]], ys: Sequence[list[int]], cutoff: int) -> list[int]:
+    """sum_j xs[j] * ys[j] in Z[t]/(t^{cutoff+1})."""
+    prods = [_mul_trunc(x, y, cutoff) for x, y in zip(xs, ys)]
+    return [sum(col) for col in zip_longest(*prods, fillvalue=0)]
+
+
+def _det_berkowitz(a: list[list[list[int]]], cutoff: int) -> list[int]:
+    # Berkowitz's algorithm: the characteristic polynomial of the leading
+    # block A_{r+1} = [[A_r, C], [R, a_rr]] is the lower-triangular Toeplitz
+    # matrix with first column (1, -a_rr, -R C, -R A_r C, ..., -R A_r^{r-1} C)
+    # applied to that of A_r (Samuelson's formula). It uses only ring
+    # operations, so the zero divisors of the truncated ring do no harm.
+    # poly[m] is the coefficient of x^{r-m} in det(x I - A_r), so in the
+    # end det A = (-1)^N poly[N].
+    one = [1]
+    poly = [one]
+    for r in range(len(a)):
+        row, w = a[r][:r], [a[i][r] for i in range(r)]
+        col = [one, [-x for x in a[r][r]]]
+        for k in range(r):
+            col.append([-x for x in _dot(row, w, cutoff)])
+            if k < r - 1:
+                w = [_dot(a[i][:r], w, cutoff) for i in range(r)]
+        poly = [_dot(col[m::-1], poly[: m + 1], cutoff) for m in range(r + 2)]
+    return poly[-1] if len(a) % 2 == 0 else [-x for x in poly[-1]]
 
 
 def det_series_full_berkowitz(

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from itertools import combinations, permutations
 
 import pytest
-from oracle_formulas import det_series_full_berkowitz
+from oracle_formulas import _det_berkowitz, det_series_full_berkowitz
 
 from poscert import schurdet
 from poscert.polycore import Poly
@@ -188,17 +188,17 @@ def test_direct_matches_full_length_berkowitz():
     assert k == 86 and nonzero >= 30
 
 
-def test_direct_runs_berkowitz_on_series_cut_above_binom(monkeypatch):
+def test_direct_eliminates_series_cut_above_binom(monkeypatch):
     # det_series_direct takes t^C(N, 2) out of the determinant, so its one
-    # Berkowitz call truncates at cutoff - C(N, 2), on entries of that many
-    # coefficients plus one; entries carried to the full cutoff fail here
-    seen, det_berkowitz = [], schurdet._det_berkowitz
+    # elimination runs in Z[t]/(t^K), K = cutoff - C(N, 2) + 1, on entries of
+    # K coefficients; entries carried to the full cutoff fail here
+    seen, det_series = [], schurdet._det_series
 
-    def recording(a, cutoff):
-        seen.append((cutoff, {len(x) for row in a for x in row}))
-        return det_berkowitz(a, cutoff)
+    def recording(a, k):
+        seen.append((k, {len(x) for row in a for x in row}))
+        return det_series(a, k)
 
-    monkeypatch.setattr(schurdet, "_det_berkowitz", recording)
+    monkeypatch.setattr(schurdet, "_det_series", recording)
     rng = random.Random(16)
     for n, extra in ((1, 0), (2, 10), (5, 3), (12, 6)):
         u, v = rng.sample(range(-8, 9), n), rng.sample(range(-8, 9), n)
@@ -206,7 +206,67 @@ def test_direct_runs_berkowitz_on_series_cut_above_binom(monkeypatch):
         cut = n * (n - 1) // 2 + extra
         seen.clear()
         assert det_series_direct(fc, u, v, cut) == det_series_formula(fc, u, v, cut)
-        assert seen == [(extra, {extra + 1})]
+        assert seen == [(extra + 1, {extra + 1})]
+
+
+def test_series_det_without_unit_pivot_matches_berkowitz():
+    # Entries t^w x with w drawn per row, column or entry, so that often no
+    # remaining entry has a nonzero constant term and rows are divided by t;
+    # t I of size N has det t^N, which is 0 once the precision K is at most N
+    rng = random.Random(17)
+    for k in range(1, 6):
+        for n in range(1, 6):
+            eye = [[[0, 1] if i == j else [] for j in range(n)] for i in range(n)]
+            assert schurdet._det_series(eye, k) == [int(m == n) for m in range(k)]
+    for case in range(300):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        shape = case % 3
+        wr, wc = [rng.randint(0, 2) for _ in range(n)], [rng.randint(0, 2) for _ in range(n)]
+        a = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                w = wr[i] if shape == 0 else wc[j] if shape == 1 else rng.choice((0, 1, 1, 2, 3))
+                row.append([0] * w + [rng.choice((-2, -1, 0, 1, 3)) for _ in range(rng.randint(0, k))])
+            a.append(row)
+        got = schurdet._det_series(a, k)
+        assert len(got) == k and got == (_det_berkowitz(a, k - 1) + [0] * k)[:k], (case, a, k)
+
+
+def test_direct_without_unit_pivot_matches_oracles():
+    # f_0 = ... = f_m = 0, a repeat in u, a 0 in v: cases where the reduced
+    # matrix runs out of entries with a nonzero constant term; with f_0 = f_1
+    # = 0 and cutoff C(N, 2) + 1 every coefficient below t^C(N + 1, 2) vanishes
+    rng = random.Random(18)
+    for case in range(40):
+        n = 1 + case % 4
+        cut = n * (n - 1) // 2 + rng.randint(0, 5)
+        u, v = rng.sample(range(-6, 7), n), rng.sample(range(-6, 7), n)
+        fc = [rng.choice((-3, -1, 1, 2)) for _ in range(cut + 2)]
+        fc[: case % 3 + 1] = [0] * (case % 3 + 1)
+        if n > 1 and case % 2:
+            u[1] = u[0]
+        if case % 4 < 2:
+            v[-1] = 0
+        got = det_series_direct(fc, u, v, cut)
+        assert got == _leibniz(fc, u, v, cut) == det_series_full_berkowitz(fc, u, v, cut), case
+    for n in (2, 3, 4):
+        u, v = rng.sample(range(1, 9), n), rng.sample(range(1, 9), n)
+        cut = n * (n - 1) // 2 + 1
+        fc = [0, 0] + [rng.choice((-3, -1, 1, 2)) for _ in range(cut)]
+        assert det_series_direct(fc, u, v, cut) == TruncatedSeries.make(cut) == _leibniz(fc, u, v, cut)
+
+
+def test_identity_at_the_cli_size_limit():
+    # the fourth trial of `schur verify --N 17 --degree 24 --seed 1`: u and v
+    # are all of -8..8 in some order, so each has a 0, the series is nonzero,
+    # and the elimination twice finds no entry with a nonzero constant term
+    rng, cut = random.Random(1), 17 * 16 // 2 + 6
+    for _ in range(4):
+        u, v = rng.sample(range(-8, 9), 17), rng.sample(range(-8, 9), 17)
+        fc = [rng.randint(-4, 4) for _ in range(25)]
+    a = det_series_direct(fc, u, v, cut)
+    assert a == det_series_formula(fc, u, v, cut) and any(a.coeffs)
 
 
 def test_identity_randomized_larger_n():
