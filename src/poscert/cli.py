@@ -61,6 +61,8 @@ def _load_rows(path: str) -> list:
     for i, r in enumerate(rows):
         if len(r) != len(rows[0]):
             raise ValueError(f"{path}: row {i} has {len(r)} entries, row 0 has {len(rows[0])}")
+        if not all(type(v) in (int, float) for v in r):  # json reads true and false as bools, an int subclass
+            raise ValueError(f"{path}: row {i} has an entry that is not a number")
         if any(isinstance(v, int) and abs(v) > sys.float_info.max for v in r):
             raise ValueError(f"{path}: row {i} has an integer beyond the float range")
     return rows
@@ -76,7 +78,7 @@ def _cmd_gegenbauer(args) -> CommandResult:
     if args.expand:
         p = Poly.from_strings(_load_list(
             args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
-            lambda c: isinstance(c, (str, int)) or isinstance(c, float) and math.isfinite(c),
+            lambda c: isinstance(c, str) or type(c) in (int, float) and abs(c) < math.inf,
         ))
         if (p.degree or 0) > MAX_GEGENBAUER_K:
             raise ValueError(f"--expand polynomial degree must be at most {MAX_GEGENBAUER_K}, got {p.degree}")
@@ -149,7 +151,7 @@ def _cmd_check(args) -> CommandResult:
     pairs = _load_list(
         args.samples, "samples", "[x, f(x)] pairs of numbers within the float range",
         lambda p: isinstance(p, list) and len(p) == 2
-        and all(isinstance(z, float) or isinstance(z, int) and abs(z) <= sys.float_info.max for z in p),
+        and all(type(z) is float or type(z) is int and abs(z) <= sys.float_info.max for z in p),
     )
     if len(pairs) > MAX_MIDCONVEX_SAMPLES:
         raise ValueError(f"at most {MAX_MIDCONVEX_SAMPLES} samples, got {len(pairs)}")

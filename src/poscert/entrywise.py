@@ -233,9 +233,11 @@ def _pinned_coordinates(gram: np.ndarray, r: int) -> np.ndarray:
 def modified_cayley_menger(d: DistanceMatrix) -> SymMatrix:
     """CM'_ij = d_i0^2 + d_j0^2 - d_ij^2 for i, j = 1..n; psd iff the
     metric embeds in Euclidean space, with rank = embedding dimension."""
-    sq = d.dists**2
-    base = sq[0, 1:]
-    cm = base[:, None] + base[None, :] - sq[1:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf, is rejected below
+        sq = d.dists**2
+        cm = sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:]
+    if not np.isfinite(cm).all():
+        raise ValueError("squared distances overflow the float range")
     return SymMatrix(d.n_points - 1, cm)
 
 

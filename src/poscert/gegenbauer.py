@@ -115,6 +115,7 @@ def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
     degree exactly k and the parity of k, so the top coefficient of the
     remainder pins c_k and the tail is peeled off degree by degree. The even
     and odd halves are kept apart, each as integers over one denominator.
+    No content is taken out of a half: the ``Fraction`` of each c_k reduces itself.
     """
     _check_dim(n)
     if p.is_zero:
@@ -130,9 +131,7 @@ def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
             out[k] = Fraction(top * e, s * lead)
             g = gcd(top, lead)
             a, b = lead // g, top // g
-            r = [x * a - b * c for x, c in zip(r, q[k % 2::2])]
-            g = gcd(s * a, *r)
-            halves[k % 2] = ([x // g for x in r], s * a // g)
+            halves[k % 2] = ([x * a - b * c for x, c in zip(r, q[k % 2::2])], s * a)
     return GegenbauerCoeffs(n, tuple(out))
 
 

@@ -210,22 +210,17 @@ def _primitive(cs: Sequence[Union[Fraction, int]]) -> tuple[int, ...]:
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Integer q, r with k a = q b + r for some integer k > 0.
+    """Integer q, r with k a = q b + r, k = |lc(b)|^len(q).
 
-    A step scales q and r by |lc(b)| only when lc(b) does not divide the
-    leading term, so an exact division takes no coefficient growth.
+    Classic pseudo-division: every step scales q and r by |lc(b)|. The
+    callers make q and r primitive, which removes that factor again.
     """
     lb, db = b[-1], len(b) - 1
-    r = list(a)
+    s, r = abs(lb), list(a)
     q = [0] * max(0, len(r) - db)
     for k in reversed(range(len(q))):
-        c = r.pop()
-        if c % lb:
-            q = [abs(lb) * x for x in q]
-            r = [abs(lb) * x for x in r]
-            c = c if lb > 0 else -c
-        else:
-            c //= lb
+        c = r.pop() if lb > 0 else -r.pop()
+        q, r = [s * x for x in q], [s * x for x in r]
         q[k] = c
         for j in range(db):
             r[k + j] -= c * b[j]

@@ -7,13 +7,17 @@ Gram matrices, the spherical-harmonic dimension count, and the closed
 form of the Jacobi normalization (against ``to_jacobi_basis``'s running
 product), and the series determinant det f[t u v^T] by Berkowitz's
 division-free algorithm on the whole matrix (against ``det_series_direct``'s
-fraction-free elimination on the reduced one). None of it is on a command's
-path.
+fraction-free elimination on the reduced one). Two exact oracles run on
+plain ``Fraction`` lists, with no integer rows and no content removal:
+back-substitution into the Gegenbauer basis (against
+``to_gegenbauer_basis``) and the signed remainder sequence divided by the
+gcd (against ``sturm_chain``). None of it is on a command's path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, prod
 from operator import mul
@@ -77,6 +81,68 @@ def gegenbauer_via_generating_series(n: int, kmax: int) -> list[Poly]:
             coeffs[deg] += _binom_rational(alpha, m) * comb(m, j) * Fraction(-2) ** deg
         out.append(Poly(coeffs))
     return out
+
+
+def _divmod_fractions(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b (b[-1] != 0), coefficients constant term first."""
+    r, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            r[k + j] -= q[k] * c
+    r = r[:len(b) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+@lru_cache(maxsize=None)
+def _gegenbauer_fractions(n: int, kmax: int) -> tuple[tuple[Fraction, ...], ...]:
+    """G_0..G_kmax^{(n)} from the three-term recurrence run on ``Fraction`` lists."""
+    fam = [(Fraction(1),), (Fraction(0), Fraction(1))][:kmax + 1]
+    for k in range(2, kmax + 1):
+        up = [Fraction(0)] + [(2 * k + n - 4) * c for c in fam[k - 1]]
+        for i, c in enumerate(fam[k - 2]):
+            up[i] -= (k - 1) * c
+        fam.append(tuple(c / (k + n - 3) for c in up))
+    return tuple(fam)
+
+
+def gegenbauer_coeffs_by_fractions(n: int, p: Poly) -> list[Fraction]:
+    """c with p = sum_k c_k G_k^{(n)}, by back-substitution over ``Fraction``.
+
+    c_k is the top coefficient of the remainder over that of G_k, for k =
+    deg p down to 0. The zero polynomial gives [].
+    """
+    _check_dim(n)
+    d = len(p.coeffs) - 1
+    fam = _gegenbauer_fractions(n, d)
+    r, out = list(p.coeffs), [Fraction(0)] * (d + 1)
+    for k in reversed(range(d + 1)):
+        out[k] = r[k] / fam[k][k]
+        for i, c in enumerate(fam[k]):
+            r[i] -= out[k] * c
+    return out
+
+
+def sturm_sequence_by_fractions(p: Poly) -> list[list[Fraction]]:
+    """p, p', -rem(p, p'), ... over ``Fraction``, divided by the last member g when g is not constant.
+
+    g is made monic first, so every member keeps its sign: the result is a
+    Sturm chain of p / gcd(p, p'). p must not be zero.
+    """
+    chain = [list(p.coeffs)]
+    nxt = [i * c for i, c in enumerate(chain[0])][1:]
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _divmod_fractions(chain[-2], nxt)[1]]
+    g = chain[-1]
+    if len(g) > 1:
+        g = [c / g[-1] for c in g]
+        divided = [_divmod_fractions(q, g) for q in chain]
+        assert not any(r for _, r in divided), "g divides every member"
+        chain = [q for q, _ in divided]
+    return chain
 
 
 def jacobi_normalization_factor(n: int, k: int) -> Fraction:

@@ -242,6 +242,18 @@ def test_sizes_rejected_up_front(tmp_path, argv, limit):
                  "row 1 has an integer beyond the float range", id="psd-int-1e400"),
     pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, 10**400], [10**400, 0]]},
                  "row 0 has an integer beyond the float range", id="euclidean-int-1e400"),
+    pytest.param(["check", "psd", "FILE"], {"rows": [[1, 0], [0, True]]},
+                 "in.json: row 1 has an entry that is not a number", id="psd-true"),
+    pytest.param(["check", "psd", "FILE"], {"rows": [[None]]},
+                 "in.json: row 0 has an entry that is not a number", id="psd-null"),
+    pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, False], [False, 0]]},
+                 "in.json: row 0 has an entry that is not a number", id="euclidean-false"),
+    pytest.param(["check", "midconvex", "FILE"], {"samples": [[1, True], [2, 3]]},
+                 'in.json: "samples" must be a list of [x, f(x)] pairs of numbers', id="midconvex-true"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [True]},
+                 'in.json: "poly" must be a list of finite numbers or rational strings', id="expand-true"),
+    pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, 1e200], [1e200, 0]]},
+                 "squared distances overflow the float range", id="euclidean-square-overflow"),
     pytest.param(["check", "preserver", "--power", "nan", "--dim", "3"], None,
                  "power must be finite, got nan", id="preserver-power-nan"),
     pytest.param(["check", "preserver", "--power", "inf", "--dim", "3"], None,
@@ -286,6 +298,7 @@ CONTRACT_CASES = [
     case(2, "expand-inf", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [INF]}),
     case(2, "expand-nan", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [NAN]}),
     case(2, "expand-zero-den", ["gegenbauer", "--dim", "4", "--expand", "FILE"], {"poly": ["1/0"]}),
+    case(2, "expand-true", ["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [True]}),
     case(0, "spherical-code", [*SC, "--dim", "4", "--cos=-1/2", "--degree", "2", "--grid", "200"]),
     case(1, "infeasible", [*SC, "--dim", "4", "--cos", "1/2", "--degree", "1", "--grid", "100"]),
     case(1, "degree-0", [*SC, "--dim", "3", "--cos", "1/2", "--degree", "0"]),
@@ -309,6 +322,8 @@ CONTRACT_CASES = [
     case(2, "psd-int-1e400", ["check", "psd", "FILE"], {"rows": [[1, 10**400], [10**400, 1]]}),
     case(2, "psd-not-square", ["check", "psd", "FILE"], {"rows": [[1, 2]]}),
     case(2, "psd-string", ["check", "psd", "FILE"], {"rows": [["a"]]}),
+    case(2, "psd-true", ["check", "psd", "FILE"], {"rows": [[True]]}),
+    case(2, "psd-null", ["check", "psd", "FILE"], {"rows": [[None]]}),
     case(0, "preserver", ["check", "preserver", "--power", "0.5", "--dim", "3"]),
     case(0, "preserver-power-200", ["check", "preserver", "--power", "200", "--dim", "4"]),
     case(0, "preserver-power-negative", ["check", "preserver", "--power", "-0.5", "--dim", "1500"]),
@@ -327,11 +342,13 @@ CONTRACT_CASES = [
     case(2, "midconvex-x-0", ["check", "midconvex", "FILE"], {"samples": [[0, 1]]}),
     case(2, "midconvex-unsorted", ["check", "midconvex", "FILE"], {"samples": [[2, 1], [1, 2]]}),
     case(2, "midconvex-int-1e400", ["check", "midconvex", "FILE"], {"samples": [[1, 1], [2, 10**400]]}),
+    case(2, "midconvex-true", ["check", "midconvex", "FILE"], {"samples": [[1, True], [2, 3]]}),
     case(0, "euclidean", ["embed", "euclidean", "FILE"], {"rows": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
     case(1, "euclidean-star", ["embed", "euclidean", "FILE"], {"rows": STAR}),
     case(2, "euclidean-nan", ["embed", "euclidean", "FILE"], {"rows": [[0, NAN], [NAN, 0]]}),
     case(2, "euclidean-asymmetric", ["embed", "euclidean", "FILE"], {"rows": [[0, 1], [2, 0]]}),
     case(2, "euclidean-int-1e400", ["embed", "euclidean", "FILE"], {"rows": [[0, 10**400], [10**400, 0]]}),
+    case(2, "euclidean-square-overflow", ["embed", "euclidean", "FILE"], {"rows": [[0, 1e200], [1e200, 0]]}),
     case(0, "sphere", ["embed", "sphere", "FILE"], {"rows": [[0, 1], [1, 0]]}),
     case(1, "sphere-diameter", ["embed", "sphere", "FILE"], {"rows": [[0, 3.5], [3.5, 0]]}),
     case(2, "sphere-inf", ["embed", "sphere", "FILE"], {"rows": [[0, INF], [INF, 0]]}),

@@ -18,6 +18,7 @@ from poscert.gegenbauer import (
 from poscert.polycore import Poly
 from oracle_formulas import (
     dim_spherical_harmonics,
+    gegenbauer_coeffs_by_fractions,
     gegenbauer_gram_check,
     gegenbauer_via_generating_series,
     inner_product_normalized,
@@ -199,6 +200,28 @@ def test_to_basis_round_trip_dyadic_degree_200():
     for n in (3, 24):
         c = [Q(1)] + [Q(rng.randint(-2**32, 2**32), 2**32) for _ in range(200)]
         assert list(to_gegenbauer_basis(n, expand_gegenbauer(n, c)).coeffs) == c
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24])
+def test_to_basis_matches_fraction_back_substitution(n):
+    # dense, sparse and single-parity polynomials (and zero) against plain
+    # back-substitution over Fractions, exactly; one of each dimension's
+    # cases is of degree 300, the others of degree at most 60
+    rng = random.Random(n)
+
+    def poly(d, kind):
+        cs = [Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(d + 1)]
+        if kind == "sparse":
+            cs = [c if i == d or rng.random() < 0.15 else 0 for i, c in enumerate(cs)]
+        elif kind == "parity":
+            cs = [c if i % 2 == d % 2 else 0 for i, c in enumerate(cs)]
+        return Poly(cs)
+
+    kinds = ["dense", "sparse", "parity"]
+    polys = [Poly(), poly(300, kinds[n % 3])]
+    polys += [poly(rng.randint(0, 60), kind) for kind in kinds for _ in range(4)]
+    for p in polys:
+        assert list(to_gegenbauer_basis(n, p).coeffs) == gegenbauer_coeffs_by_fractions(n, p)
 
 
 def test_classical_coefficient_tables():

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from oracle_formulas import sturm_sequence_by_fractions
 from poscert.polycore import (
     Interval,
     Poly,
@@ -199,6 +200,28 @@ def test_squarefree_part_and_root_counts_randomized():
         for _ in range(10):
             a, b = sorted(rng.sample(marks, 2))
             assert count_roots_open(chain, a, b) == sum(1 for r in roots if a < r < b)
+
+
+def test_sturm_chain_matches_fraction_remainder_sequence():
+    # repeated rational roots, and squared irreducible quadratics, make the
+    # gcd g of p and p' nonconstant, so every member is divided by g; each
+    # member must be a positive multiple of the plain Fraction sequence's
+    rng = random.Random(13)
+    t = Poly([0, 1])
+    divided = 0
+    for _ in range(200):
+        p = Poly.constant(rand_rat(rng, 30) or 1)
+        for _ in range(rng.randint(1, 4)):
+            p = p * (t - Poly.constant(rand_rat(rng, 20))) ** rng.randint(1, 4)
+        if rng.random() < 0.4:
+            p = p * (t * t + Poly.constant(rng.randint(1, 9))) ** rng.randint(1, 2)
+        chain, oracle = sturm_chain(p), sturm_sequence_by_fractions(p)
+        assert len(chain) == len(oracle), p
+        for member, exact in zip(chain, oracle):
+            assert len(member) == len(exact) and member[-1] * exact[-1] > 0, p
+            assert [c * exact[-1] for c in member] == [c * member[-1] for c in exact], p
+        divided += len(oracle[0]) < len(p.coeffs)
+    assert divided > 100
 
 
 def test_witness_matches_root_oracle():
