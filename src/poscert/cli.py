@@ -68,13 +68,17 @@ def _load_rows(path: str) -> list:
     return rows
 
 
-def _check_dim(dim: int, limit: int = MAX_DIM) -> None:
-    if not 2 <= dim <= limit:
-        raise ValueError(f"--dim must be between 2 and {limit}, got {dim}")
+def _ranged(lo: int, hi: int):
+    def check(s: str) -> int:
+        v = int(s)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {v}")
+        return v
+    check.__name__ = "int"  # argparse names a non-integer "invalid int value"
+    return check
 
 
 def _cmd_gegenbauer(args) -> CommandResult:
-    _check_dim(args.dim)
     if args.expand:
         p = Poly.from_strings(_load_list(
             args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
@@ -89,10 +93,6 @@ def _cmd_gegenbauer(args) -> CommandResult:
             "coeffs": [rat_str(c) for c in coeffs.coeffs],
             "classical_coeffs": [rat_str(c) for c in classical.coeffs],
         })
-    if args.k is None:
-        raise ValueError("either --k or --expand is required")
-    if not 0 <= args.k <= MAX_GEGENBAUER_K:
-        raise ValueError(f"--k must be between 0 and {MAX_GEGENBAUER_K}, got {args.k}")
     poly = gegenbauer_poly(args.dim, args.k)
     return CommandResult(0, {"dim": args.dim, "k": args.k, "poly": poly.to_strings()})
 
@@ -104,9 +104,6 @@ def _cmd_bound(args) -> CommandResult:
         payload["name"] = args.cert
         return CommandResult(0, payload)
     # spherical-code
-    _check_dim(args.dim)
-    if not 0 <= args.degree <= MAX_LP_DEGREE:
-        raise ValueError(f"--degree must be between 0 and {MAX_LP_DEGREE}, got {args.degree}")
     max_grid = MAX_LP_ENTRIES // (args.degree + 1)
     if args.grid > max_grid:
         raise ValueError(f"--grid must be at most {max_grid} at --degree {args.degree}, got {args.grid}")
@@ -141,7 +138,6 @@ def _cmd_check(args) -> CommandResult:
         return CommandResult(0 if rep.is_psd else 1, payload)
 
     if args.check_command == "preserver":
-        _check_dim(args.dim, MAX_PRESERVER_DIM)
         w = entrywise.power_preserver_witness(args.dim, args.power)  # None: x^power preserves psd
         witness = None if w is None else {"power": rat_str(w.power), "x": [rat_str(v) for v in w.x],
                                           "w": [str(v) for v in w.w], "upper": rat_str(w.upper)}
@@ -220,12 +216,6 @@ def _cmd_lattice(args) -> CommandResult:
 
 
 def _cmd_schur(args) -> CommandResult:
-    if not 1 <= args.N <= MAX_SCHUR_N:
-        raise ValueError(f"--N must be between 1 and {MAX_SCHUR_N}, got {args.N}")
-    if not 0 <= args.degree <= MAX_SCHUR_DEGREE:
-        raise ValueError(f"--degree must be between 0 and {MAX_SCHUR_DEGREE}, got {args.degree}")
-    if not 1 <= args.trials <= MAX_SCHUR_TRIALS:
-        raise ValueError(f"--trials must be >= 1 and at most {MAX_SCHUR_TRIALS}, got {args.trials}")
     rng = random.Random(args.seed)
     cutoff = args.N * (args.N - 1) // 2 + 6
     checked = 0
@@ -277,17 +267,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gegenbauer", help="emit G_k^{(n)} or expand a polynomial")
-    g.add_argument("--dim", type=int, required=True, help=f"2-{MAX_DIM}")
-    g.add_argument("--k", type=int, help=f"degree, 0-{MAX_GEGENBAUER_K}")
-    g.add_argument("--expand", metavar="FILE")
+    g.add_argument("--dim", type=_ranged(2, MAX_DIM), required=True, help=f"2-{MAX_DIM}")
+    gk = g.add_mutually_exclusive_group(required=True)
+    gk.add_argument("--k", type=_ranged(0, MAX_GEGENBAUER_K), help=f"degree, 0-{MAX_GEGENBAUER_K}")
+    gk.add_argument("--expand", metavar="FILE")
     g.set_defaults(func=_cmd_gegenbauer)
 
     b = sub.add_parser("bound", help="spherical-code upper bounds")
     bsub = b.add_subparsers(dest="bound_command", required=True)
     bs = bsub.add_parser("spherical-code", help="LP bound plus exact certificate")
-    bs.add_argument("--dim", type=int, required=True, help=f"2-{MAX_DIM}")
+    bs.add_argument("--dim", type=_ranged(2, MAX_DIM), required=True, help=f"2-{MAX_DIM}")
     bs.add_argument("--cos", required=True, help="cos(psi) as 'p/q'; a negative one as --cos=-p/q")
-    bs.add_argument("--degree", type=int, required=True, help=f"0-{MAX_LP_DEGREE}")
+    bs.add_argument("--degree", type=_ranged(0, MAX_LP_DEGREE), required=True, help=f"0-{MAX_LP_DEGREE}")
     bs.add_argument("--grid", type=int, default=2000)
     bk = bsub.add_parser("kissing", help="verify an embedded kissing certificate")
     bk.add_argument("--cert", choices=delsarte.KNOWN_CERTIFICATE_NAMES, required=True)
@@ -300,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--tol", type=float, default=None)
     cv = csub.add_parser("preserver")
     cv.add_argument("--power", type=float, required=True)
-    cv.add_argument("--dim", type=int, required=True, help=f"2-{MAX_PRESERVER_DIM}")
+    cv.add_argument("--dim", type=_ranged(2, MAX_PRESERVER_DIM), required=True, help=f"2-{MAX_PRESERVER_DIM}")
     cm = csub.add_parser("midconvex")
     cm.add_argument("samples", help="samples JSON file")
     c.set_defaults(func=_cmd_check)
@@ -321,10 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("schur", help="verify the determinant identity on random data")
     ssub = s.add_subparsers(dest="schur_command", required=True)
     sv = ssub.add_parser("verify")
-    sv.add_argument("--N", type=int, required=True, help=f"matrix size, 1-{MAX_SCHUR_N}")
-    sv.add_argument("--degree", type=int, required=True, help=f"degree of f, 0-{MAX_SCHUR_DEGREE}")
+    sv.add_argument("--N", type=_ranged(1, MAX_SCHUR_N), required=True, help=f"matrix size, 1-{MAX_SCHUR_N}")
+    sv.add_argument("--degree", type=_ranged(0, MAX_SCHUR_DEGREE), required=True,
+                    help=f"degree of f, 0-{MAX_SCHUR_DEGREE}")
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--trials", type=int, default=10, help=f"instances checked, 1-{MAX_SCHUR_TRIALS}")
+    sv.add_argument("--trials", type=_ranged(1, MAX_SCHUR_TRIALS), default=10,
+                    help=f"instances checked, 1-{MAX_SCHUR_TRIALS}")
     s.set_defaults(func=_cmd_schur)
 
     t = sub.add_parser("tables", help="recompute the packing/kissing tables")

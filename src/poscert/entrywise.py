@@ -145,13 +145,13 @@ def power_preserver_witness(n: int, alpha: Union[int, float, str, Fraction]) -> 
     for alpha < 0). For alpha = p/q, q <= 100, integer q-th roots put 2^B P in
     [L, L + 1) entrywise; w from eliminating L, rounded to B bits, is certified
     by w^T L w + (sum |w_i|)^2 < 0, with B doubled from 64 until that holds.
-    A float alpha is read as the decimal it prints as (0.1 is 1/10).
+    alpha is read by :func:`~poscert.polycore.parse_rat`, a float as the decimal it prints as.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
-    alpha = parse_rat(repr(alpha) if isinstance(alpha, float) else alpha)
+    alpha = parse_rat(alpha)
     p, q = alpha.numerator, alpha.denominator
     if alpha >= n - 2 or (alpha >= 0 and q == 1):  # FitzGerald--Horn
         return None

@@ -13,6 +13,8 @@ are pure, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,10 +38,14 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    """Inverse of :func:`rat_str`; also accepts decimal strings."""
+def parse_rat(s: Union[str, int, float, Fraction]) -> Fraction:
+    """Inverse of :func:`rat_str`; also reads ints, decimal strings, and floats as the decimals they print as.
+    A string whose exponent reaches ``sys.get_int_max_str_digits()`` is refused before 10**exponent is built."""
+    m = isinstance(s, str) and re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)
+    if m and 0 < (limit := sys.get_int_max_str_digits()) <= float(m[1]):  # float() has no digit limit
+        raise ValueError(f"the exponent of {s!r} reaches {limit} in magnitude, the int-to-string digit limit")
     try:
-        return Fraction(s)
+        return Fraction(repr(s) if isinstance(s, float) else s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
     except (OverflowError, ValueError):

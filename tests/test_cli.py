@@ -170,19 +170,20 @@ def test_schur_verify_reports_a_series_mismatch(monkeypatch):
     pytest.param(["check", "preserver", "--power", "-38.5", "--dim", "50"], f"|power| < {MAX_WITNESS_BLOCK - 2}",
                  id="preserver-negative-power-below-limit"),
     pytest.param(["check", "preserver", "--power", "0.5", "--dim", str(MAX_PRESERVER_DIM + 1)],
-                 f"--dim must be between 2 and {MAX_PRESERVER_DIM}", id="preserver-dim-above-limit"),
-    pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"], ">= 1",
-                 id="schur-trials-zero"),
+                 f"argument --dim: must be between 2 and {MAX_PRESERVER_DIM}", id="preserver-dim-above-limit"),
+    pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", "0"],
+                 f"argument --trials: must be between 1 and {MAX_SCHUR_TRIALS}, got 0", id="schur-trials-zero"),
     pytest.param(["schur", "verify", "--N", "3", "--degree", "6", "--trials", str(MAX_SCHUR_TRIALS + 1)],
-                 f"at most {MAX_SCHUR_TRIALS}, got {MAX_SCHUR_TRIALS + 1}", id="schur-trials-above-limit"),
+                 f"argument --trials: must be between 1 and {MAX_SCHUR_TRIALS}, got {MAX_SCHUR_TRIALS + 1}",
+                 id="schur-trials-above-limit"),
     pytest.param(["schur", "verify", "--N", str(MAX_SCHUR_N + 1), "--degree", "12"],
                  f"between 1 and {MAX_SCHUR_N}", id=f"schur-N-{MAX_SCHUR_N + 1}"),
     pytest.param(["schur", "verify", "--N", "10", "--degree", str(MAX_SCHUR_DEGREE + 1)],
-                 f"--degree must be between 0 and {MAX_SCHUR_DEGREE}", id="schur-degree-above-limit"),
+                 f"argument --degree: must be between 0 and {MAX_SCHUR_DEGREE}", id="schur-degree-above-limit"),
     pytest.param(["gegenbauer", "--dim", "3", "--k", str(MAX_GEGENBAUER_K + 1)],
-                 f"--k must be between 0 and {MAX_GEGENBAUER_K}", id="gegenbauer-k-above-limit"),
+                 f"argument --k: must be between 0 and {MAX_GEGENBAUER_K}", id="gegenbauer-k-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1/2", "--degree",
-                  str(MAX_LP_DEGREE + 1)], f"--degree must be between 0 and {MAX_LP_DEGREE}",
+                  str(MAX_LP_DEGREE + 1)], f"argument --degree: must be between 0 and {MAX_LP_DEGREE}",
                  id="spherical-code-degree-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1/2", "--degree", "4",
                   "--grid", str(MAX_LP_ENTRIES // 5 + 1)],
@@ -191,11 +192,11 @@ def test_schur_verify_reports_a_series_mismatch(monkeypatch):
     pytest.param(["lattice", "info", "--name", f"Z{MAX_Z_RANK + 1}", "--json"], f"between 1 and {MAX_Z_RANK}",
                  id="lattice-Z-above-limit"),
     pytest.param(["gegenbauer", "--dim", str(MAX_DIM + 1), "--k", "2"],
-                 f"--dim must be between 2 and {MAX_DIM}", id="gegenbauer-dim-above-limit"),
+                 f"argument --dim: must be between 2 and {MAX_DIM}", id="gegenbauer-dim-above-limit"),
     pytest.param(["gegenbauer", "--dim", "100000000", "--expand", {"poly": [0, 1]}],
-                 f"--dim must be between 2 and {MAX_DIM}", id="expand-dim-above-limit"),
+                 f"argument --dim: must be between 2 and {MAX_DIM}", id="expand-dim-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", str(10**400), "--cos", "1/2", "--degree", "6"],
-                 f"--dim must be between 2 and {MAX_DIM}", id="spherical-code-dim-above-limit"),
+                 f"argument --dim: must be between 2 and {MAX_DIM}", id="spherical-code-dim-above-limit"),
     pytest.param(["check", "midconvex", {"samples": [[x, x] for x in range(1, MAX_MIDCONVEX_SAMPLES + 2)]}],
                  f"at most {MAX_MIDCONVEX_SAMPLES} samples, got {MAX_MIDCONVEX_SAMPLES + 1}",
                  id="midconvex-samples-above-limit"),
@@ -267,6 +268,12 @@ def test_sizes_rejected_up_front(tmp_path, argv, limit):
                  id="expand-degree-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "nan", "--degree", "4"], None,
                  "'nan' is not a finite number", id="cos-nan"),
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1e-999999999", "--degree", "4"], None,
+                 "the exponent of '1e-999999999' reaches", id="cos-exponent-above-limit"),
+    pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": ["1e99999999"]},
+                 "the exponent of '1e99999999' reaches", id="expand-exponent-above-limit"),
+    pytest.param(["gegenbauer", "--dim", "3", "--k", "4", "--expand", "FILE"], {"poly": [1]},
+                 "argument --expand: not allowed with argument --k", id="gegenbauer-k-and-expand"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, argv, payload, reason):
     if payload is not None:
@@ -459,6 +466,12 @@ def test_gegenbauer_expand(tmp_path, monkeypatch):
     assert res.payload == {"dim": 3, "coeffs": ["1/3", "0", "2/3"], "classical_coeffs": ["1/3", "0", "2/3"]}
     res = run(["gegenbauer", "--dim", "3", "--k", "2"])
     assert res.payload["poly"] == ["-1/2", "0", "3/2"]
+
+
+def test_expand_reads_a_json_float_as_the_decimal_it_prints_as(tmp_path):
+    # as --power does: 0.1 is 1/10, not the double 3602879701896397/2^55
+    res = run(["gegenbauer", "--dim", "3", "--expand", write(tmp_path, "p.json", {"poly": [0.1]})])
+    assert res.exit_code == 0 and res.payload["coeffs"] == ["1/10"]
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction as Q
 from itertools import permutations
 
@@ -43,6 +44,23 @@ def test_rational_serialization():
 def test_parse_rat_names_non_finite_input(value):
     with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a finite number$"):
         parse_rat(value)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (0.1, Q(1, 10)), (1e-300, Q(1, 10**300)), (5e-324, Q(5, 10**324)),
+    pytest.param(10**5000, Q(10**5000), id="int-5001-digits"),
+])
+def test_parse_rat_reads_floats_as_printed_and_ints_exactly(value, exact):
+    assert parse_rat(value) == exact
+
+
+def test_parse_rat_refuses_exponents_at_the_int_to_string_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rat(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rat(f"-2.5E-{limit - 1} ") == Q(-25, 10**limit)
+    for s in (f"1e{limit}", f"1e-{limit}", f"3E+{limit}", "1e-999_999_999"):
+        with pytest.raises(ValueError, match=f"^the exponent of {re.escape(repr(s))} reaches {limit} in magnitude"):
+            parse_rat(s)
 
 
 def test_rational_field_axioms():
