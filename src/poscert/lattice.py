@@ -19,10 +19,8 @@ exact checks on its Gram matrix certify the result.
 
 from __future__ import annotations
 
-import gc
 import math
 import re
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -371,32 +369,27 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
     gz = np.array(lat._gram_int, dtype=np.float64).reshape(n, n)
     norms = np.einsum("ij,ij->i", c @ gz, c).astype(np.int64)
     keep = (norms > 0) & (norms <= bound_int)
+    if keep.all():
+        return cands, norms
     return cands[keep], norms[keep]
 
 
-def short_vectors(lat: Lattice, bound_sq) -> list[tuple[int, ...]]:
+def short_vectors(lat: Lattice, bound_sq) -> np.ndarray:
     """All nonzero lattice vectors with v^T Gram v <= bound_sq, exactly.
 
-    Returns a list of tuples of Python ints, coordinates with respect to the
-    lattice basis. The 2m vectors are sorted lexicographically, first coordinate
-    most significant, and positions i and 2m - 1 - i hold negatives of each other.
+    Returns one C-contiguous int64 array of shape (2m, n), one row per vector in
+    coordinates with respect to the lattice basis, and shape (0, n) when there
+    are none; ``.tolist()`` gives lists of Python ints. The rows are sorted
+    lexicographically, first coordinate most significant, and rows i and
+    2m - 1 - i are negatives of each other.
     """
     half, _ = _short_vectors_with_norms(lat, bound_sq)
     # in a signed type holding -1 - max|x|, negation cannot overflow; it
-    # reverses the order and 0 is not in the set, so the list is L and then -L
+    # reverses the order and 0 is not in the set, so the rows are L and then -L
     # reversed, L holding each pair's member whose first nonzero entry is < 0
     half *= -np.sign(half[np.arange(len(half)), (half != 0).argmax(1)])[:, None]
     low = half[np.lexsort(half.T[::-1])]
-    rows = np.concatenate([low, -low[::-1]])
-    # the tuples hold only ints and cannot form cycles, so the collector is paused: the collections
-    # they set off took E8 at norm 12 from 29-31 to 36-48 ms (best of 9, 2-vCPU Xeon, Python 3.11)
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        return list(struct.iter_unpack(f"{lat.rank}{rows.dtype.char}", rows.tobytes()))
-    finally:
-        if was:
-            gc.enable()
+    return np.concatenate([low, -low[::-1]]).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,11 @@ def rat_str(q: Fraction) -> str:
 
 def parse_rat(s: Union[str, int, float, Fraction]) -> Fraction:
     """Inverse of :func:`rat_str`; also reads ints, decimal strings, and floats as the decimals they print as.
-    A string whose exponent reaches ``sys.get_int_max_str_digits()`` is refused before 10**exponent is built."""
+    A string whose exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits (``_`` not counted)
+    is refused before 10**exponent is built, or int() refuses it unquoted; float() there has no digit limit."""
     m = isinstance(s, str) and re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)
-    if m and 0 < (limit := sys.get_int_max_str_digits()) <= float(m[1]):  # float() has no digit limit
-        raise ValueError(f"the exponent of {s!r} reaches {limit} in magnitude, the int-to-string digit limit")
+    if m and 0 < (limit := sys.get_int_max_str_digits()) <= max(float(m[1]), len(m[1].replace("_", ""))):
+        raise ValueError(f"the exponent of {s!r} reaches {limit} in magnitude or digits, the int-to-string limit")
     try:
         return Fraction(repr(s) if isinstance(s, float) else s)
     except ZeroDivisionError:

@@ -23,6 +23,11 @@ from poscert.lattice import (
 )
 
 
+def as_tuples(sv):
+    """The rows of a short-vector array as tuples of Python ints."""
+    return [tuple(r) for r in sv.tolist()]
+
+
 def brute_force_count(gram, bound):
     """Cube-search oracle for small lattices: count nonzero v with v^T G v <= bound."""
     n = len(gram)
@@ -112,7 +117,7 @@ def test_e8_embedding_norms():
 
 
 def test_short_vectors_pairing_and_sorting():
-    sv = short_vectors(standard_lattice("A2"), 2)
+    sv = as_tuples(short_vectors(standard_lattice("A2"), 2))
     assert sorted(sv) == sv
     as_set = set(sv)
     assert all(tuple(-x for x in v) in as_set for v in sv)
@@ -120,9 +125,9 @@ def test_short_vectors_pairing_and_sorting():
 
 
 def test_short_vectors_empty_below_minimum():
-    assert short_vectors(standard_lattice("E8"), Q(1)) == []
-    assert short_vectors(standard_lattice("E8"), 0) == []
-    assert short_vectors(standard_lattice("A2"), Q(-1, 2)) == []
+    assert short_vectors(standard_lattice("E8"), Q(1)).shape == (0, 8)
+    assert short_vectors(standard_lattice("E8"), 0).shape == (0, 8)
+    assert short_vectors(standard_lattice("A2"), Q(-1, 2)).shape == (0, 2)
 
 
 def test_positive_definiteness_required():
@@ -152,12 +157,12 @@ def test_short_vectors_rational_gram():
     # non-integer rational Gram: scaling must keep the test exact
     gram = ((Q(1), Q(1, 2)), (Q(1, 2), Q(1)))
     lat = Lattice("hex-ish", 2, gram)
-    got = set(short_vectors(lat, 1))
+    got = set(as_tuples(short_vectors(lat, 1)))
     # v^T G v = x^2 + xy + y^2 <= 1: the six shortest hexagonal vectors
     want = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
     assert got == want
     # strictly below 1 nothing survives
-    assert short_vectors(lat, Q(99, 100)) == []
+    assert short_vectors(lat, Q(99, 100)).shape == (0, 2)
 
 
 def test_unknown_name():
@@ -389,12 +394,12 @@ def test_short_vectors_complete_against_box_search():
             bound /= 2
         lat = Lattice("skewed", n, gram)
         want, lam = brute_force_vectors(gram, bound)
-        assert short_vectors(lat, bound) == want, (gram, bound)
+        assert as_tuples(short_vectors(lat, bound)) == want, (gram, bound)
         if lam is not None:
             nonempty += 1
             below = lam - Q(1, 1000 * lam.denominator)
-            assert short_vectors(lat, below) == [], (gram, below)
-            assert short_vectors(lat, lam) == brute_force_vectors(gram, lam)[0], (gram, lam)
+            assert short_vectors(lat, below).shape == (0, n), (gram, below)
+            assert as_tuples(short_vectors(lat, lam)) == brute_force_vectors(gram, lam)[0], (gram, lam)
     assert nonempty >= 150
 
 
@@ -406,7 +411,7 @@ def test_short_vectors_complete_against_box_search():
 ])
 def test_short_vectors_canonical_order_on_large_shells(make, bound):
     # lexicographic, and positions i and 2m - 1 - i are negatives of each other
-    sv = short_vectors(make(), bound)
+    sv = as_tuples(short_vectors(make(), bound))
     assert len(sv) > 2000
     assert sv == sorted(sv)
     assert all(sv[i] == tuple(-x for x in sv[-1 - i]) for i in range(len(sv)))
@@ -417,9 +422,9 @@ def test_short_vectors_order_where_coordinates_leave_int8_and_int16(r):
     # r = 127 ... 32769 takes the half-set through the int8, int16 and int32 widths
     expected = [(x,) for x in range(-r, r + 1) if x]
     sv = short_vectors(standard_lattice("Z1"), r * r)
-    assert sv == sorted(expected)
-    assert all(type(x) is int for v in sv for x in v)
-    assert json.loads(json.dumps(sv)) == [list(v) for v in expected]
+    assert as_tuples(sv) == sorted(expected)
+    assert all(type(x) is int for v in sv.tolist() for x in v)
+    assert json.loads(json.dumps(sv.tolist())) == [list(v) for v in expected]
 
 
 @pytest.mark.parametrize("k", [126, 127, 128])
@@ -429,7 +434,7 @@ def test_short_vectors_order_with_large_positive_trailing_coordinates(k):
     gram = ((Q(1 + k * k), Q(k)), (Q(k), Q(1)))
     expected = [(a, b) for a in range(-2, 3) for b in range(-k - 3, k + 4)
                 if 0 < a * a + (b + k * a) ** 2 <= 2]
-    assert short_vectors(Lattice("sheared", 2, gram), 2) == sorted(expected)
+    assert as_tuples(short_vectors(Lattice("sheared", 2, gram), 2)) == sorted(expected)
 
 
 def test_short_vector_norms_are_exact():
@@ -449,10 +454,34 @@ def test_short_vector_norms_are_exact():
     assert nonempty >= 40
 
 
-def test_short_vectors_are_python_ints():
-    vecs = short_vectors(standard_lattice("E8"), 2)
-    assert all(type(x) is int for v in vecs for x in v)
-    assert len(json.loads(json.dumps(vecs))) == 240
+def test_short_vectors_are_one_int64_array():
+    sv = short_vectors(standard_lattice("E8"), 2)
+    assert sv.dtype == np.int64 and sv.shape == (240, 8) and sv.flags.c_contiguous
+    rows = json.loads(json.dumps(sv.tolist()))
+    assert len(rows) == 240
+    assert all(len(v) == 8 and all(type(x) is int for x in v) for v in rows)
+
+
+def test_kept_candidates_come_back_as_the_gather_would_give_them(monkeypatch):
+    # at 4 - 10^-7 the float slack admits the norm-4 candidates of Z3 and the
+    # exact check drops them; fed only the kept rows, the search skips the gather
+    lat, bound = standard_lattice("Z3"), 4 - Q(1, 10**7)
+    seen = []
+    kernel = lattice._half_space_candidates
+
+    def record(*args):
+        seen.append(kernel(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", record)
+    vecs, norms = lattice._short_vectors_with_norms(lat, bound)
+    assert len(seen[0]) > len(vecs) == 13
+    fed = vecs.copy()
+    monkeypatch.setattr(lattice, "_half_space_candidates", lambda *args: fed)
+    kept, kept_norms = lattice._short_vectors_with_norms(lat, bound)
+    assert kept is fed
+    assert kept.dtype == vecs.dtype and kept.tolist() == vecs.tolist()
+    assert kept_norms.dtype == norms.dtype and kept_norms.tolist() == norms.tolist()
 
 
 def test_int64_guard_rejects_large_bound_before_enumerating(monkeypatch):
@@ -525,7 +554,7 @@ def test_kernel_dtype_switch_matches_box_search(monkeypatch, r, itemsize):
 
     monkeypatch.setattr(lattice, "_half_space_candidates", record)
     gram = ((Q(1),),)
-    assert short_vectors(Lattice("Z1", 1, gram), r * r) == brute_force_vectors(gram, Q(r * r))[0]
+    assert as_tuples(short_vectors(Lattice("Z1", 1, gram), r * r)) == brute_force_vectors(gram, Q(r * r))[0]
     assert widths == [itemsize]
 
 
@@ -622,7 +651,7 @@ def test_pivot_floats_and_covolume_match_rational_ldl(monkeypatch):
         gram = tuple(tuple(sum(x * y for x, y in zip(bi, bj)) for bj in b) for bi in b)
         lat = Lattice("rational", n, gram)
         assert lat.covolume_sq == polycore.det_exact(gram)
-        assert short_vectors(lat, 1) == []
+        assert short_vectors(lat, 1).shape == (0, n)
         scale = math.lcm(*(x.denominator for row in gram for x in row))
         d, u = ldl_reference([[x * scale for x in row] for row in gram])
         got_d, got_u = seen.pop()

@@ -58,7 +58,13 @@ def test_parse_rat_refuses_exponents_at_the_int_to_string_limit():
     limit = sys.get_int_max_str_digits()
     assert parse_rat(f"1e{limit - 1}") == 10 ** (limit - 1)
     assert parse_rat(f"-2.5E-{limit - 1} ") == Q(-25, 10**limit)
-    for s in (f"1e{limit}", f"1e-{limit}", f"3E+{limit}", "1e-999_999_999"):
+    # an exponent written with as many digits as the limit is refused whatever its value,
+    # before int() refuses it without naming the input; _ is not a digit
+    assert parse_rat("1e" + "0" * (limit - 2) + "1") == 10
+    if sys.version_info >= (3, 11):  # Fraction reads _ in an exponent from 3.11 on
+        assert parse_rat("1e" + "0_" * (limit - 2) + "1") == 10
+    for s in (f"1e{limit}", f"1e-{limit}", f"3E+{limit}", "1e-999_999_999",
+              "1e" + "0" * (limit - 1) + "1", "2E-" + "0" * limit, "1e" + "0_" * (limit - 1) + "1"):
         with pytest.raises(ValueError, match=f"^the exponent of {re.escape(repr(s))} reaches {limit} in magnitude"):
             parse_rat(s)
 
