@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import delsarte, entrywise, lattice, schurdet
 from .gegenbauer import gegenbauer as gegenbauer_poly
 from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
-from .polycore import Poly, parse_rat, rat_str
+from .polycore import Poly, rat_str
 
 # Size limits; README ("CLI") has the timings behind them. A `schur verify` trial at
 # N = 17 and degree 24 (elimination on series of 7 terms) takes 0.05 s on average on a
@@ -80,7 +80,7 @@ def _ranged(lo: int, hi: int):
 
 def _cmd_gegenbauer(args) -> CommandResult:
     if args.expand:
-        p = Poly.from_strings(_load_list(
+        p = Poly(_load_list(
             args.expand, "poly", 'finite numbers or rational strings such as "1/3"',
             lambda c: isinstance(c, str) or type(c) in (int, float) and abs(c) < math.inf,
         ))
@@ -108,7 +108,7 @@ def _cmd_bound(args) -> CommandResult:
     if args.grid > max_grid:
         raise ValueError(f"--grid must be at most {max_grid} at --degree {args.degree}, got {args.grid}")
     try:
-        res = delsarte.lp_bound(args.dim, parse_rat(args.cos), args.degree, args.grid)
+        res = delsarte.lp_bound(args.dim, args.cos, args.degree, args.grid)
     except delsarte.LpInfeasible as exc:
         return CommandResult(1, {"reason": f"infeasible: {exc}"})
     payload = {

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .polycore import bareiss_steps, parse_rat
+from .polycore import RationalLike, bareiss_steps, rat
 
 _SYM_TOL = 1e-12
 _EIG_SIGN_TOL = 1e-12
@@ -73,11 +73,9 @@ def psd_check(a: Union[SymMatrix, np.ndarray], tol: Optional[float] = None) -> P
     is_psd <=> no eigenvalue below -tol. The signs are decided on a copy
     scaled by 2^-e (see :func:`_scaled`), where no eigenvalue overflows;
     a minimum eigenvalue or tolerance beyond the float range once scaled
-    back raises ValueError.
+    back raises ValueError. An array is read as a :class:`SymMatrix`, by its upper triangle.
     """
-    m = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = (a if isinstance(a, SymMatrix) else SymMatrix(len(a), a)).entries
     if tol is not None and not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     m, e = _scaled(m)
@@ -136,7 +134,7 @@ class PowerWitness:
     upper: Fraction
 
 
-def power_preserver_witness(n: int, alpha: Union[int, float, str, Fraction]) -> Optional[PowerWitness]:
+def power_preserver_witness(n: int, alpha: RationalLike) -> Optional[PowerWitness]:
     """Certify that x^alpha does not preserve psd-ness on n x n matrices.
 
     None means it does: alpha is a nonnegative integer or alpha >= n - 2
@@ -145,13 +143,13 @@ def power_preserver_witness(n: int, alpha: Union[int, float, str, Fraction]) -> 
     for alpha < 0). For alpha = p/q, q <= 100, integer q-th roots put 2^B P in
     [L, L + 1) entrywise; w from eliminating L, rounded to B bits, is certified
     by w^T L w + (sum |w_i|)^2 < 0, with B doubled from 64 until that holds.
-    alpha is read by :func:`~poscert.polycore.parse_rat`, a float as the decimal it prints as.
+    alpha is read by :func:`~poscert.polycore.rat`, a float as the decimal it prints as.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ValueError(f"power must be finite, got {alpha}")
-    alpha = parse_rat(alpha)
+    alpha = rat(alpha)
     p, q = alpha.numerator, alpha.denominator
     if alpha >= n - 2 or (alpha >= 0 and q == 1):  # FitzGerald--Horn
         return None

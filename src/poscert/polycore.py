@@ -21,14 +21,33 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int, float, str]
 
 _MAX_BISECTION_DEPTH = 10_000
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """The one reader of numbers, inverse of :func:`rat_str`: a Fraction as it is, an int exactly, a float
+    as the decimal it prints as (``float.__repr__``: 0.1 is 1/10), a string as ``Fraction`` reads it. A string
+    is refused, quoted, when its exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits (the
+    cost of 10**exponent has no bound) or another digit run reaches that many (int() refuses it unquoted)."""
+    if isinstance(x, Fraction):
+        return x
+    s = float.__repr__(x) if isinstance(x, float) else x
+    if isinstance(s, str) and 0 < (limit := sys.get_int_max_str_digits()):
+        m = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)
+        if m and limit <= max(float(m[1]), len(m[1].replace("_", ""))):
+            raise ValueError(f"the exponent of {s!r} reaches {limit} in magnitude or digits, the int-to-string limit")
+        if any(len(run.replace("_", "")) >= limit for run in re.findall(r"\d+(?:_\d+)*", s)):
+            raise ValueError(f"a run of digits in {s!r} reaches {limit} digits, the int-to-string limit")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+    except (OverflowError, ValueError):
+        if str(s).strip().lstrip("+-").lower() in ("nan", "inf", "infinity"):
+            raise ValueError(f"{x!r} is not a finite number") from None
+        raise
 
 
 def rat_str(q: Fraction) -> str:
@@ -36,23 +55,6 @@ def rat_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s: Union[str, int, float, Fraction]) -> Fraction:
-    """Inverse of :func:`rat_str`; also reads ints, decimal strings, and floats as the decimals they print as.
-    A string whose exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits (``_`` not counted)
-    is refused before 10**exponent is built, or int() refuses it unquoted; float() there has no digit limit."""
-    m = isinstance(s, str) and re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)
-    if m and 0 < (limit := sys.get_int_max_str_digits()) <= max(float(m[1]), len(m[1].replace("_", ""))):
-        raise ValueError(f"the exponent of {s!r} reaches {limit} in magnitude or digits, the int-to-string limit")
-    try:
-        return Fraction(repr(s) if isinstance(s, float) else s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
-    except (OverflowError, ValueError):
-        if str(s).strip().lstrip("+-").lower() in ("nan", "inf", "infinity"):
-            raise ValueError(f"{s!r} is not a finite number") from None
-        raise
 
 
 def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -189,10 +191,6 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_strings(items: Sequence[str]) -> "Poly":
-        return Poly([parse_rat(s) for s in items])
 
 
 @dataclass(frozen=True)

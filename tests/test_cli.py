@@ -272,6 +272,8 @@ def test_sizes_rejected_up_front(tmp_path, argv, limit):
                  "the exponent of '1e-999999999' reaches", id="cos-exponent-above-limit"),
     pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1e" + "0" * 5000 + "1", "--degree", "4"], None,
                  "the exponent of '1e00000", id="cos-exponent-with-5001-digits"),
+    pytest.param(["bound", "spherical-code", "--dim", "3", "--cos", "1" * 5000, "--degree", "4"], None,
+                 "a run of digits in '11111", id="cos-5000-digits"),
     pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": ["1e99999999"]},
                  "the exponent of '1e99999999' reaches", id="expand-exponent-above-limit"),
     pytest.param(["gegenbauer", "--dim", "3", "--k", "4", "--expand", "FILE"], {"poly": [1]},

@@ -14,7 +14,7 @@ from poscert.delsarte import (
     verify_certificate,
 )
 from poscert.gegenbauer import gegenbauer_values
-from poscert.polycore import Poly, parse_rat
+from poscert.polycore import Poly, rat
 from poscert.simplex import Tableau
 
 
@@ -66,7 +66,7 @@ def test_certificate_json_round_trip():
     d = c.to_json_dict()
     assert d["bound"] == "240"
     assert d["cos_angle"] == "1/2"
-    back = verify_certificate(d["dim"], parse_rat(d["cos_angle"]), Poly.from_strings(d["poly"]))
+    back = verify_certificate(d["dim"], rat(d["cos_angle"]), Poly(d["poly"]))
     assert back.bound == c.bound
     assert back.coeffs == c.coeffs
 

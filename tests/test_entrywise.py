@@ -45,6 +45,13 @@ def test_psd_rejects_non_finite():
         psd_check(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_psd_reads_an_array_as_a_sym_matrix():
+    # the upper triangle is authoritative in both forms; the lower one would make this psd
+    a = np.array([[1.0, 5.0], [0.0, 1.0]])
+    assert psd_check(a) == psd_check(SymMatrix(2, a))
+    assert not psd_check(a).is_psd
+
+
 def test_psd_quadratic_form_characterization():
     # eigenvalue criterion and quadratic-form nonnegativity agree
     rng = np.random.default_rng(11)
@@ -185,6 +192,7 @@ def test_power_witness_reads_the_power_exactly():
     assert (power_preserver_witness(12, 9.5) == power_preserver_witness(12, "19/2")
             == power_preserver_witness(12, "9.5") == power_preserver_witness(12, Fraction(19, 2)))
     assert power_preserver_witness(3, 0.1).power == Fraction(1, 10)
+    assert power_preserver_witness(5, np.float64(2.5)) == power_preserver_witness(5, 2.5) is not None
     with pytest.raises(ValueError, match="denominator <= 100"):
         power_preserver_witness(5, 1 / 3)  # read as 3333333333333333/10^16
 

@@ -1,11 +1,15 @@
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction as Q
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+import poscert
 from oracle_formulas import sturm_sequence_by_fractions
 from poscert.polycore import (
     Interval,
@@ -14,7 +18,7 @@ from poscert.polycore import (
     count_roots_open,
     det_exact,
     nonpositivity_witness,
-    parse_rat,
+    rat,
     rat_str,
     sturm_chain,
 )
@@ -32,41 +36,72 @@ def test_rational_serialization():
     assert rat_str(Q(3, 7)) == "3/7"
     assert rat_str(Q(-3, 7)) == "-3/7"
     assert rat_str(Q(5)) == "5"
-    assert parse_rat("3/7") == Q(3, 7)
-    assert parse_rat("-4") == Q(-4)
+    assert rat("3/7") == Q(3, 7)
+    assert rat("-4") == Q(-4)
     # normalization invariant: gcd-reduced, positive denominator
     q = Q(6, -8)
     assert q == Q(-3, 4) and q.denominator == 4
-    assert parse_rat(rat_str(q)) == q
+    assert rat(rat_str(q)) == q
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("-inf"), "nan", "Infinity"])
-def test_parse_rat_names_non_finite_input(value):
+def test_rat_names_non_finite_input(value):
     with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a finite number$"):
-        parse_rat(value)
+        rat(value)
 
 
 @pytest.mark.parametrize("value, exact", [
     (0.1, Q(1, 10)), (1e-300, Q(1, 10**300)), (5e-324, Q(5, 10**324)),
+    pytest.param(np.float64(0.1), Q(1, 10), id="np.float64-0.1"),  # its repr() is 'np.float64(0.1)' in numpy 2
     pytest.param(10**5000, Q(10**5000), id="int-5001-digits"),
 ])
-def test_parse_rat_reads_floats_as_printed_and_ints_exactly(value, exact):
-    assert parse_rat(value) == exact
+def test_rat_reads_floats_as_printed_and_ints_exactly(value, exact):
+    assert rat(value) == exact
 
 
-def test_parse_rat_refuses_exponents_at_the_int_to_string_limit():
+def test_rat_refuses_exponents_at_the_int_to_string_limit():
     limit = sys.get_int_max_str_digits()
-    assert parse_rat(f"1e{limit - 1}") == 10 ** (limit - 1)
-    assert parse_rat(f"-2.5E-{limit - 1} ") == Q(-25, 10**limit)
+    assert rat(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert rat(f"-2.5E-{limit - 1} ") == Q(-25, 10**limit)
     # an exponent written with as many digits as the limit is refused whatever its value,
     # before int() refuses it without naming the input; _ is not a digit
-    assert parse_rat("1e" + "0" * (limit - 2) + "1") == 10
+    assert rat("1e" + "0" * (limit - 2) + "1") == 10
     if sys.version_info >= (3, 11):  # Fraction reads _ in an exponent from 3.11 on
-        assert parse_rat("1e" + "0_" * (limit - 2) + "1") == 10
+        assert rat("1e" + "0_" * (limit - 2) + "1") == 10
     for s in (f"1e{limit}", f"1e-{limit}", f"3E+{limit}", "1e-999_999_999",
               "1e" + "0" * (limit - 1) + "1", "2E-" + "0" * limit, "1e" + "0_" * (limit - 1) + "1"):
         with pytest.raises(ValueError, match=f"^the exponent of {re.escape(repr(s))} reaches {limit} in magnitude"):
-            parse_rat(s)
+            rat(s)
+
+
+def test_rat_refuses_digit_runs_at_the_int_to_string_limit():
+    limit = sys.get_int_max_str_digits()
+    ones = "1" * (limit - 1)
+    assert rat(ones) == int(ones)
+    assert rat(f"-{ones}.{ones}") == -(int(ones) + Q(int(ones), 10 ** (limit - 1)))
+    assert rat(f"1/{ones}") == Q(1, int(ones))
+    # the integer part, the decimal part and the denominator each reach int() alone
+    for s in ("1" * limit, "0." + "1" * limit, "1/" + "7" * limit, "-1" + "1_" * limit + "1e5", "1" * 5000):
+        with pytest.raises(ValueError, match=f"^a run of digits in {re.escape(repr(s))} reaches {limit} digits"):
+            rat(s)
+
+
+@pytest.mark.parametrize("call", [
+    "delsarte.lp_bound(3, X, 4)",
+    "delsarte.verify_certificate(3, X, Poly([-1]))",
+    "Poly([1, X])",
+    "lattice.Lattice('L', 1, ((X,),))",
+    "lattice.short_vectors(lattice.standard_lattice('D4'), X)",
+    "schurdet.det_series_direct([1, X], [1], [1], 2)",
+])
+def test_library_entry_points_refuse_runaway_exponents_at_once(call):
+    # 10**9999999 has no bound on its cost: a child that hangs fails at the timeout
+    code = ("from poscert import delsarte, lattice, schurdet; from poscert.polycore import Poly; "
+            f"X = '1e-9999999'; {call}")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(poscert.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 1
+    assert "ValueError: the exponent of '1e-9999999' reaches" in proc.stderr
 
 
 def test_rational_field_axioms():
