@@ -147,8 +147,6 @@ def power_preserver_witness(n: int, alpha: RationalLike) -> Optional[PowerWitnes
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if isinstance(alpha, float) and not math.isfinite(alpha):
-        raise ValueError(f"power must be finite, got {alpha}")
     alpha = rat(alpha)
     p, q = alpha.numerator, alpha.denominator
     if alpha >= n - 2 or (alpha >= 0 and q == 1):  # FitzGerald--Horn

@@ -2,9 +2,11 @@
 
 Solves   max c.x  subject to  A x <= b,  x >= 0,  with b >= 0,
 so the slack basis is immediately feasible. Pivot columns are chosen by
-Dantzig's rule (most negative reduced cost) while the objective makes
-progress; after a run of degenerate pivots the solver switches to
-Bland's rule, which rules out cycling. The LPs here have a handful of
+Dantzig's rule (most negative reduced cost). Against cycling, x_B starts
+from b raised by a small amount that differs from row to row (Charnes
+1952): basic values then rarely tie at zero, so pivots make progress where
+Dantzig's rule on the exact b can cycle. The reported objective is y.b
+with the unperturbed b. The LPs here have a handful of
 rows and thousands of columns, so the solver keeps only the m x m
 inverse of the basis (the revised method of Dantzig and Orchard-Hays,
 1954): each iteration prices every column in one matrix-vector product,
@@ -22,7 +24,7 @@ import numpy as np
 
 _TOL = 1e-9
 _MAX_ITER = 200_000
-_DEGENERATE_RUN = 40  # consecutive zero-progress pivots before Bland kicks in
+_PERTURB = 2.0**-30  # row i of x_B starts at b_i + _PERTURB (i + 1) / m
 
 
 @dataclass
@@ -34,7 +36,6 @@ class SimplexResult:
     # y / shadow prices of a max problem.
     reduced_costs: np.ndarray
     pivots: int  # made by this solve
-    bland: bool  # whether Bland's rule engaged in this solve
 
 
 class Tableau:
@@ -42,8 +43,8 @@ class Tableau:
 
     That tableau is E T0 with T0 = [[A, I], [-c, 0]] and E = [[B^-1, 0], [y, 1]].
     ``cols`` holds T0, written once and then only read. ``inv`` holds E and
-    the right-hand side E (b, 0) = (x_B, c_B x_B): the (m + 1) x (m + 2)
-    numbers that a pivot rewrites.
+    the right-hand side E (b', 0) = (x_B, c_B x_B), b' the perturbed b: the
+    (m + 1) x (m + 2) numbers that a pivot rewrites.
     """
 
     def __init__(self, c, A, b):
@@ -57,7 +58,7 @@ class Tableau:
         self.cols = np.zeros((m + 1, n + m))
         self.cols[:m, :n], self.cols[m, :n], self.cols[:m, n:] = A, -c, np.eye(m)
         self.inv = np.eye(m + 1, m + 2)
-        self.inv[:m, m + 1] = b
+        self.inv[:m, m + 1] = b + _PERTURB * np.arange(1, m + 1) / m
         self.basis = np.arange(n, n + m)
 
     def add_columns(self, c, A) -> None:
@@ -74,40 +75,32 @@ class Tableau:
         """Pivot from the current basis until no reduced cost is negative."""
         inv, basis, m = self.inv, self.basis, self.m
         x = inv[:m, m + 1]
-        stall, pivots, bland = 0, 0, False
+        pivots = 0
         for _ in range(_MAX_ITER):
             costs = inv[m, : m + 1] @ self.cols  # the objective row (y, 1) T0
-            if stall < _DEGENERATE_RUN:
-                enter = int(costs.argmin())
-                if costs[enter] >= -_TOL:
-                    break
-            else:
-                bland = True
-                neg = np.nonzero(costs < -_TOL)[0]
-                if neg.size == 0:
-                    break
-                enter = int(neg[0])  # Bland: lowest-index improving column
+            enter = int(costs.argmin())
+            if costs[enter] >= -_TOL:
+                break
 
             col = inv[:, : m + 1] @ self.cols[:, enter]  # the tableau column: B^-1 a, reduced cost
             ratios = np.divide(x, col[:m], out=np.full(m, np.inf), where=col[:m] > _TOL)
             best = ratios.min()
             if best == np.inf:
-                return SimplexResult("unbounded", np.inf, costs, pivots, bland)
+                return SimplexResult("unbounded", np.inf, costs, pivots)
             ties = np.nonzero(ratios <= best + _TOL)[0]
-            leave = int(ties[basis[ties].argmin()])  # Bland tie-break
+            leave = int(ties[basis[ties].argmin()])  # lowest-index tie-break
 
             piv, col[leave] = col[leave], 0.0
             inv[leave] /= piv
             inv -= col[:, None] * inv[leave]
             basis[leave] = enter
             pivots += 1
-            stall = stall + 1 if -costs[enter] * x[leave] <= _TOL else 0
-        else:  # Bland's rule terminates in exact arithmetic, not in floats: lp_bound(200, 1/2, 60, 2000)
+        else:  # Dantzig's rule on the perturbed b still fails to end in floats: lp_bound(200, 1/2, 60, 2000)
             # pivots _MAX_ITER times here while its dual objective drifts to about 4e16
             raise RuntimeError("simplex iteration limit exceeded")
 
         # y.b, not c_B x_B: over long runs x_B drifts further than y does
-        return SimplexResult("optimal", float(inv[m, :m] @ self.b), costs, pivots, bland)
+        return SimplexResult("optimal", float(inv[m, :m] @ self.b), costs, pivots)
 
 
 simplex_max = Tableau.solve  # the name delsarte calls, so a tracer can wrap each solve

@@ -38,17 +38,18 @@ CYCLING = ([10.0, -57.0, -9.0, -24.0],
            [0.0, 0.0, 1.0])
 
 
-def test_degenerate_run_switches_to_bland():
+def test_perturbed_b_ends_the_cycle():
     res = Tableau(*CYCLING).solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-12)
     assert res.reduced_costs[4:] == pytest.approx([0.0, 18.0, 1.0], abs=1e-12)
+    assert res.pivots == 4
 
 
-def test_without_bland_the_cycle_never_ends(monkeypatch):
-    # the same LP with the switch pushed out of reach hits the iteration
-    # limit, so the run above did reach the Bland switch
-    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
+def test_without_perturbation_the_cycle_never_ends(monkeypatch):
+    # the same LP on the exact b hits the iteration limit, so the run above
+    # owes its end to the perturbation
+    monkeypatch.setattr(simplex, "_PERTURB", 0.0)
     monkeypatch.setattr(simplex, "_MAX_ITER", 1000)
     with pytest.raises(RuntimeError, match="iteration limit"):
         Tableau(*CYCLING).solve()
@@ -92,15 +93,10 @@ def test_added_column_can_make_the_lp_unbounded():
     assert res.objective == np.inf
 
 
-def test_each_solve_reports_its_pivots_and_bland():
+def test_each_solve_reports_its_pivots():
     tableau = Tableau(*LP_3X2)
-    res = tableau.solve()
-    assert (res.pivots, res.bland) == (2, False)
-    res = tableau.solve()  # already optimal: nothing to do
-    assert (res.pivots, res.bland) == (0, False)
-    res = Tableau(*CYCLING).solve()
-    assert res.bland
-    assert res.pivots > simplex._DEGENERATE_RUN
+    assert tableau.solve().pivots == 2
+    assert tableau.solve().pivots == 0  # already optimal: nothing to do
 
 
 def vertex_optimum(c, A, b):
@@ -129,12 +125,14 @@ def vertex_optimum(c, A, b):
     return max(primal)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_matches_vertex_enumeration(seed):
-    # small integer LPs, so that ties, zeros in b and degenerate vertices are common
+@pytest.mark.parametrize("seed, rows, cols", [pytest.param(s, 3, 6, id=str(s)) for s in range(8)]
+                         + [pytest.param(s, 5, 8, id=f"5x8-{s}") for s in range(8)])
+def test_matches_vertex_enumeration(seed, rows, cols):
+    # small integer LPs, so that ties, zeros in b and degenerate vertices are common;
+    # the perturbation of b alone keeps the degenerate ones from cycling
     rng = np.random.default_rng(seed)
     for _ in range(40):
-        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        m, n = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
         c = rng.integers(-2, 4, n).astype(float)
         A = rng.integers(-1, 4, (m, n)).astype(float)
         b = rng.integers(0, 3, m).astype(float)
