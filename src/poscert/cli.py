@@ -332,7 +332,7 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         return CommandResult(2, {"reason": str(exc)})
     except (RuntimeError, OverflowError, MemoryError) as exc:  # e.g. the simplex iteration limit
         return CommandResult(1, {"reason": f"computation failed: {str(exc) or type(exc).__name__}"})

@@ -173,10 +173,12 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
         raise ValueError("grid must be at least d + 2")
 
     s_f = float(s_exact)
-    whole = grid < _ROOT_SCAN_GRID or s_f == -1.0  # at s = -1 every grid point is -1
+    if s_f == -1.0:  # every grid point is -1: the grid is its one point
+        grid = 0
+    whole = grid < _ROOT_SCAN_GRID
 
     def points(idx):  # the grid points at indices idx, bit for bit; the last one is s
-        return np.where(idx == grid, s_f, -1.0 + (s_f + 1.0) * (idx / grid))
+        return np.where(idx == grid, s_f, -1.0 + (s_f + 1.0) * (idx / max(grid, 1)))
 
     def values(idx):  # G_1..G_d at the grid points of indices idx
         return G[:, idx] if whole else gegenbauer_values(n, d, points(idx))[1:]

@@ -266,12 +266,11 @@ def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
     return chain
 
 
-def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction, memo: Optional[dict] = None) -> int:
+def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction, memo: dict) -> int:
     """Distinct roots of the chain's squarefree head in (a, b); a, b may be roots.
 
     ``memo`` keeps the sign changes and head sign of every point evaluated.
     """
-    memo = {} if memo is None else memo
     for x in {a, b}.difference(memo):
         signs = [_sign(q, x) for q in chain]
         nonzero = [s for s in signs if s]

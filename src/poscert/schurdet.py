@@ -32,41 +32,24 @@ from typing import Sequence
 from .polycore import RationalLike, bareiss_step, clear_denominators, det_exact, rat
 
 
-def validate_strict_tuple(tpl: Sequence[int]) -> tuple[int, ...]:
-    """A strictly decreasing tuple of nonnegative integers."""
-    t = tuple(int(x) for x in tpl)
-    if not t:
-        raise ValueError("tuple must be nonempty")
-    if any(a <= b for a, b in zip(t, t[1:])) or t[-1] < 0:
-        raise ValueError(f"tuple must be strictly decreasing and >= 0: {t}")
-    return t
-
-
-def vandermonde(xs: Sequence[RationalLike]) -> Fraction:
-    """V(x) = prod_{i<j} (x_i - x_j)."""
-    vals = [rat(x) for x in xs]
-    out = Fraction(1)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            out *= vals[i] - vals[j]
-    return out
-
-
 def schur_eval(tpl: Sequence[int], xs: Sequence[RationalLike]) -> Fraction:
-    """Schur polynomial via the bialternant det(x_i^{n_j}) / V(x).
+    """Schur polynomial via the bialternant det(x_i^{n_j}) / V(x), V(x) = prod_{i<j} (x_i - x_j).
 
-    Columns carry the exponents in the given strictly decreasing order;
-    the staircase (N-1, ..., 1, 0) evaluates to 1 for any distinct x.
+    The exponents, read with :func:`rat`, must be integers, strictly
+    decreasing and >= 0; the columns carry them in that order, and the
+    staircase (N-1, ..., 1, 0) evaluates to 1 for any distinct x.
     The division is exact because the numerator is alternating in x.
     """
-    t = validate_strict_tuple(tpl)
+    t = [rat(e) for e in tpl]
+    if not t or any(e.denominator != 1 for e in t) or any(a <= b for a, b in zip(t, t[1:])) or t[-1] < 0:
+        raise ValueError(f"tuple must be nonempty integers, strictly decreasing and >= 0: {tuple(tpl)}")
     vals = [rat(x) for x in xs]
     if len(vals) != len(t):
         raise ValueError("tuple length must match the number of variables")
     if len(set(vals)) != len(vals):
         raise ValueError("variables must be pairwise distinct")
     num = det_exact([[x**e for e in t] for x in vals])
-    return num / vandermonde(vals)
+    return num / prod(xi - xj for i, xi in enumerate(vals) for xj in vals[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -165,12 +148,11 @@ def det_series_formula(
     the u and v determinants. Tuples from the support of f are walked depth
     first, a branch stopping once its weight plus its lightest completion
     exceeds cutoff; each exponent chosen is one fraction-free step on its
-    column, shared by every tuple with that prefix.
+    column, shared by every tuple with that prefix. Entries may repeat, as on
+    the left: each numerator det(u_i^{n_j}) is then 0, as V(u) is.
     """
     g, a, b, divisors = _cleared(f_coeffs, u, v, cutoff)
     n = len(a)
-    if len(set(a)) != n or len(set(b)) != n:
-        raise ValueError("u and v entries must be pairwise distinct")
     support = [e for e, ge in enumerate(g) if ge]
     pre = list(accumulate(support, initial=0))
     out = [int(not n)] + [0] * cutoff  # N = 0: the empty determinant, 1

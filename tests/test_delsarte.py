@@ -169,12 +169,27 @@ def test_lp_bound_overshoot_between_grid_points(verify_calls):
     assert not verify_calls
 
 
+@pytest.fixture
+def value_sizes(monkeypatch):
+    # the number of points of each gegenbauer_values call in lp_bound
+    sizes = []
+
+    def counted(n, kmax, ts):
+        sizes.append(np.size(ts))
+        return gegenbauer_values(n, kmax, ts)
+
+    monkeypatch.setattr(delsarte, "gegenbauer_values", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("grid", [100, 10000, 50000])
-def test_lp_bound_antipodal(grid):
-    # at cos -1 every grid point is t = -1, and the optimum is 2 from degree 1 on
+def test_lp_bound_antipodal(value_sizes, grid):
+    # at cos -1 every grid point is t = -1, and the optimum is 2 from degree 1 on;
+    # f is evaluated at that one point (and at both ends by the peak), never per grid point
     for d in (1, 2, 5):
         res = lp_bound(3, -1, d, grid)
         assert res.float_bound == 2.0 and res.certificate.bound == 2
+    assert max(value_sizes) <= 2
 
 
 def test_lp_bound_infeasible():
@@ -255,16 +270,9 @@ def test_root_scan_matches_the_grid_optimum_on_random_cases():
 
 
 @pytest.mark.parametrize("n, d, grid, path", [(12, 11, 100000, "roots"), (12, 11, 9999, "whole")])
-def test_fine_grids_evaluate_f_near_its_roots_only(monkeypatch, n, d, grid, path):
-    sizes = []
-
-    def counted(n, kmax, ts):
-        sizes.append(np.size(ts))
-        return gegenbauer_values(n, kmax, ts)
-
-    monkeypatch.setattr(delsarte, "gegenbauer_values", counted)
+def test_fine_grids_evaluate_f_near_its_roots_only(value_sizes, n, d, grid, path):
     assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
-    assert (max(sizes) < grid / 10) == (path == "roots")
+    assert (max(value_sizes) < grid / 10) == (path == "roots")
 
 
 @pytest.fixture

@@ -258,7 +258,7 @@ def test_squarefree_part_and_root_counts_randomized():
         marks = roots + [Q(rng.randint(-30, 30), 7) for _ in range(4)]
         for _ in range(10):
             a, b = sorted(rng.sample(marks, 2))
-            assert count_roots_open(chain, a, b) == sum(1 for r in roots if a < r < b)
+            assert count_roots_open(chain, a, b, {}) == sum(1 for r in roots if a < r < b)
 
 
 def test_sturm_chain_matches_fraction_remainder_sequence():
