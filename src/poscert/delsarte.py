@@ -128,8 +128,8 @@ def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int) -> np.ndarray:
     up = 1.0 + x @ gegenbauer_values(n, len(x), mids)[1:] > _SIMPLEX_TOL / 4
     probe = np.zeros(grid + 1, dtype=bool)
     probe[np.clip(np.floor(ends[1:-1, None]).astype(int) + np.arange(-2, 3), 0, grid)] = True
-    for a, b, v in zip(ends, ends[1:], up):
-        probe[ceil(a):int(b) + 1] |= v
+    for a, b in zip(ends[:-1][up].tolist(), ends[1:][up].tolist()):
+        probe[ceil(a):int(b) + 1] = True
     return np.flatnonzero(probe)
 
 

@@ -68,13 +68,16 @@ def bareiss_step(rows: list[list[int]], col: int, prev: int) -> Optional[tuple[i
 
     Returns the index of the first row nonzero there (the step's lead), that row, and the
     others as their 2 x 2 minors with it right of ``col``, divided exactly by ``prev``,
-    the last step's lead entry (1 at the first step).
+    the last step's lead entry (1 at the first step). A row with 0 at ``col`` under a lead
+    equal to ``prev`` keeps its entries: (prev x - 0 y) / prev = x.
     """
     piv = next((i for i, r in enumerate(rows) if r[col]), None)
     if piv is None:
         return None
     top, c = rows[piv], col + 1
-    return piv, top, [[(top[col] * x - r[col] * y) // prev for x, y in zip(r[c:], top[c:])]
+    a = top[col]
+    return piv, top, [r[c:] if not r[col] and a == prev else
+                      [(a * x - r[col] * y) // prev for x, y in zip(r[c:], top[c:])]
                       for k, r in enumerate(rows) if k != piv]
 
 

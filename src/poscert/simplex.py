@@ -10,7 +10,9 @@ with the unperturbed b. The LPs here have a handful of
 rows and thousands of columns, so the solver keeps only the m x m
 inverse of the basis (the revised method of Dantzig and Orchard-Hays,
 1954): each iteration prices every column in one matrix-vector product,
-and a pivot rewrites B^-1, never the columns. One :class:`Tableau` lives
+and a pivot rewrites B^-1, never the columns. The ratio test runs on
+Python floats: for up to about 40 rows a loop over m numbers costs less
+than the dozen numpy calls it replaces. One :class:`Tableau` lives
 across the rounds of a constraint-generation loop: columns added after a
 solve enter against the last basis, which stays primal feasible because
 b does not change, and the next solve resumes from it.
@@ -42,53 +44,61 @@ class Tableau:
     """The dense tableau [[B^-1 A, B^-1], [y A - c, y]], y = c_B B^-1, in factors.
 
     That tableau is E T0 with T0 = [[A, I], [-c, 0]] and E = [[B^-1, 0], [y, 1]].
-    ``cols`` holds T0, written once and then only read. ``inv`` holds E and
-    the right-hand side E (b', 0) = (x_B, c_B x_B), b' the perturbed b: the
-    (m + 1) x (m + 2) numbers that a pivot rewrites.
+    ``cols`` holds T0, which a solve only reads: a view of the first n + m
+    columns of a buffer that doubles when added columns overflow it, with the
+    slack block moved to stay last. ``inv`` holds E and the right-hand side
+    E (b', 0) = (x_B, c_B x_B), b' the perturbed b: the (m + 1) x (m + 2)
+    numbers that a pivot rewrites.
     """
 
     def __init__(self, c, A, b):
-        c, A, b = (np.asarray(x, dtype=float) for x in (c, A, b))
-        m, n = A.shape
-        if b.shape != (m,) or c.shape != (n,):
+        b = np.asarray(b, dtype=float)
+        m = b.size
+        if b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
         if (b < 0).any():
             raise ValueError("the simplex requires b >= 0")
-        self.m, self.n, self.b = m, n, b
-        self.cols = np.zeros((m + 1, n + m))
-        self.cols[:m, :n], self.cols[m, :n], self.cols[:m, n:] = A, -c, np.eye(m)
+        self.m, self.n, self.b = m, 0, b
+        self._buf = np.zeros((m + 1, 0))
         self.inv = np.eye(m + 1, m + 2)
         self.inv[:m, m + 1] = b + _PERTURB * np.arange(1, m + 1) / m
-        self.basis = np.arange(n, n + m)
+        self.basis = np.arange(m)
+        Tableau.add_columns(self, c, A)  # the class's own: an override may expect a finished tableau
 
     def add_columns(self, c, A) -> None:
         """Append columns A with costs c; the basis and E stay as they are."""
         c, A = np.asarray(c, dtype=float), np.asarray(A, dtype=float)
-        m, n = self.m, self.n
-        if c.ndim != 1 or A.shape != (m, c.size):
+        m, n, k = self.m, self.n, c.size
+        if c.ndim != 1 or A.shape != (m, k):
             raise ValueError("inconsistent LP dimensions")
-        self.cols = np.concatenate((self.cols[:, :n], np.vstack((A, -c)), self.cols[:, n:]), axis=1)
-        self.basis[self.basis >= n] += c.size
-        self.n += c.size
+        if n + k + m > self._buf.shape[1]:
+            buf = np.empty((m + 1, max(2 * self._buf.shape[1], n + k + m)))
+            buf[:, :n] = self._buf[:, :n]
+            self._buf = buf
+        self._buf[:m, n:n + k], self._buf[m, n:n + k] = A, -c
+        self._buf[:, n + k:n + k + m] = np.eye(m + 1, m)
+        self.cols = self._buf[:, :n + k + m]
+        self.basis[self.basis >= n] += k
+        self.n += k
 
     def solve(self) -> SimplexResult:
         """Pivot from the current basis until no reduced cost is negative."""
         inv, basis, m = self.inv, self.basis, self.m
-        x = inv[:m, m + 1]
+        x, y, E = inv[:m, m + 1], inv[m, : m + 1], inv[:, : m + 1]
         pivots = 0
         for _ in range(_MAX_ITER):
-            costs = inv[m, : m + 1] @ self.cols  # the objective row (y, 1) T0
+            costs = y @ self.cols  # the objective row (y, 1) T0
             enter = int(costs.argmin())
             if costs[enter] >= -_TOL:
                 break
 
-            col = inv[:, : m + 1] @ self.cols[:, enter]  # the tableau column: B^-1 a, reduced cost
-            ratios = np.divide(x, col[:m], out=np.full(m, np.inf), where=col[:m] > _TOL)
-            best = ratios.min()
+            col = E @ self.cols[:, enter]  # the tableau column: B^-1 a, reduced cost
+            ratios = [xi / ci if ci > _TOL else np.inf for xi, ci in zip(x.tolist(), col[:m].tolist())]
+            best = min(ratios, default=np.inf)
             if best == np.inf:
                 return SimplexResult("unbounded", np.inf, costs, pivots)
-            ties = np.nonzero(ratios <= best + _TOL)[0]
-            leave = int(ties[basis[ties].argmin()])  # lowest-index tie-break
+            ties = [i for i, r in enumerate(ratios) if r <= best + _TOL]
+            leave = min(ties, key=basis.__getitem__)  # lowest-index tie-break
 
             piv, col[leave] = col[leave], 0.0
             inv[leave] /= piv

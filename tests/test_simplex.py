@@ -83,6 +83,50 @@ def test_added_columns_resume_to_the_cold_optimum(lp, split):
     assert warm.reduced_costs == pytest.approx(cold.reduced_costs, abs=1e-12)
 
 
+def test_added_columns_grow_the_store_and_keep_the_slack_block_last():
+    # batches of 1, 2, 1, 4, 3 and 10 columns after 2: the store is reallocated (it doubles)
+    # at 6, 13 and 26 columns of T0, and the batches between are written in place
+    rng = np.random.default_rng(0)
+    m, sizes = 3, [2, 1, 2, 1, 4, 3, 10]
+    c = rng.integers(1, 5, sum(sizes)) + np.arange(sum(sizes), dtype=float)  # later columns enter
+    A = rng.integers(1, 5, (m, sum(sizes))).astype(float)
+    b = np.array([4.0, 7.0, 5.0])
+    tableau, n = Tableau(c[:2], A[:, :2], b), 2
+    stores = [tableau.cols.base]
+    for k in sizes[1:]:
+        tableau.solve()
+        before = tableau.basis.copy()
+        tableau.add_columns(c[n:n + k], A[:, n:n + k])
+        n += k
+        stores.append(tableau.cols.base)
+        T0 = np.vstack((np.hstack((A[:, :n], np.eye(m))), np.concatenate((-c[:n], np.zeros(m)))))
+        assert np.array_equal(tableau.cols, T0)
+        # the slack indices shift past the new columns; the structural ones stay
+        assert np.array_equal(tableau.basis, np.where(before >= n - k, before + k, before))
+        E = tableau.inv[:, :-1]
+        assert E @ tableau.cols[:, tableau.basis] == pytest.approx(np.eye(m + 1, m), abs=1e-12)
+    assert len({id(s) for s in stores}) == 4
+    assert tableau.solve().objective == pytest.approx(Tableau(c, A, b).solve().objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("b0, basis", [(4.0, [2, 3, 1]), (4.0 - 8e-9, [1, 3, 0])], ids=["tie", "no-tie"])
+def test_ratio_test_breaks_ties_by_the_lowest_basis_index(b0, basis):
+    # x0 enters first and takes row 2 (slack 4 leaves), so B^-1 = diag(1, 1, 1/8). Then x1
+    # enters with tableau column (4, tol, 1/2): row 1 would allow the shortest step,
+    # (0 + 2^-30 2/3) / tol = 0.62, but an entry <= tol never limits it. Rows 0 and 2 both
+    # allow a step of 1 + O(2^-32), a tie within tol, and x0 (index 0, in the later row) leaves
+    # rather than slack 2 (row 0). With b0 8e-9 lower the rows no longer tie, and slack 2 leaves.
+    b = np.array([b0, 0.0, 4.0])
+    tableau = Tableau([3.0], [[0.0], [0.0], [8.0]], b)
+    assert tableau.solve().pivots == 1
+    assert tableau.basis.tolist() == [1, 2, 0]
+    tableau.add_columns([2.0], [[4.0], [simplex._TOL], [4.0]])
+    assert tableau.basis.tolist() == [2, 3, 0]
+    res = tableau.solve()
+    assert res.status == "optimal" and res.pivots == 1
+    assert tableau.basis.tolist() == basis
+
+
 def test_added_column_can_make_the_lp_unbounded():
     # max x s.t. x <= 1, then y with cost 1 enters along x - y <= 1
     tableau = Tableau([1.0], [[1.0]], [1.0])
