@@ -112,35 +112,35 @@ class LpBoundResult:
     rejection: Optional[str]
 
 
-_ROOT_SCAN_GRID = 10_000  # from this many grid points on, lp_bound evaluates f near its roots only
+_ROOT_SCAN_GRID = 10_000  # from this many grid points on, lp_bound evaluates f near its critical points only
+
+
+def _critical_points(n: int, c: np.ndarray, hi: float, drop: float) -> np.ndarray:
+    """Real parts in [-1, hi] of the roots of f' = sum_{k>=1} c_k k(k+n-2)/(n-1) G_{k-1}^{(n+2)}, for
+    f = sum_k c_k G_k^{(n)}: a comrade matrix's eigenvalues, once a tail of f' of at most ``drop`` is cut."""
+    k = np.arange(1, len(c))
+    roots = gegenbauer_roots(n + 2, c[1:] * (k * (k + n - 2) / (n - 1)), drop)
+    return roots[(roots >= -1.0) & (roots <= hi)]
 
 
 def _root_probes(n: int, x: np.ndarray, s_f: float, grid: int) -> np.ndarray:
-    """The grid indices where f = 1 + sum_k x_k G_k can exceed tol.
+    """Grid indices to probe f = 1 + sum_k x_k G_k at: a stencil around each end and critical point of f.
 
-    Less a tail of at most tol/4, f - tol/2 keeps one sign between its roots in [-1, s], so f > tol
-    only in a gap with f > tol/4 at its middle point; 2 grid points around each root absorb root error.
+    f is monotone between critical points, so each piece's top grid value is next to one of its ends.
+    The stencil, offsets -2..3 and +-2^j for 2^j < grid, absorbs root error and samples a whole bump in
+    one round. Less a tail of f' of at most tol/4, f falls by at most tol/4 per unit of t against its
+    piece's direction, so a grid point the scan misses has f <= tol + (s + 1) tol/4 if no probe exceeds tol.
     """
-    roots = gegenbauer_roots(n, np.concatenate(([1.0 - _SIMPLEX_TOL / 2], x)), _SIMPLEX_TOL / 4)
-    roots = roots[(roots >= -1.0) & (roots <= s_f) & (np.diff(roots, prepend=-2.0) > 0)]  # a conjugate pair once
-    ends = np.concatenate(([0.0], (roots + 1.0) * (grid / (s_f + 1.0)), [float(grid)]))
-    mids = -1.0 + (s_f + 1.0) * (np.round((ends[:-1] + ends[1:]) / 2) / grid)
-    up = 1.0 + x @ gegenbauer_values(n, len(x), mids)[1:] > _SIMPLEX_TOL / 4
-    probe = np.zeros(grid + 1, dtype=bool)
-    probe[np.clip(np.floor(ends[1:-1, None]).astype(int) + np.arange(-2, 3), 0, grid)] = True
-    for a, b in zip(ends[:-1][up].tolist(), ends[1:][up].tolist()):
-        probe[ceil(a):int(b) + 1] = True
-    return np.flatnonzero(probe)
+    crit = _critical_points(n, np.concatenate(([1.0], x)), s_f, _SIMPLEX_TOL / 4)
+    powers = 1 << np.arange(int(grid - 1).bit_length())  # 2^j < grid
+    offsets = np.concatenate((np.arange(-2, 4), powers, -powers))
+    centers = np.concatenate(([0, grid], np.floor((crit + 1.0) * (grid / (s_f + 1.0))).astype(int)))
+    return np.unique(np.clip(centers[:, None] + offsets, 0, grid))
 
 
 def _peak(n: int, c: np.ndarray, hi: float) -> float:
-    """Max of f = sum_k c_k G_k^{(n)} on [-1, hi], in floats: f at -1, hi and the real roots of f' between.
-
-    f' = sum_{k>=1} c_k k(k+n-2)/(n-1) G_{k-1}^{(n+2)}, so its roots are those of a comrade matrix.
-    """
-    k = np.arange(1, len(c))
-    roots = gegenbauer_roots(n + 2, c[1:] * (k * (k + n - 2) / (n - 1)), 0.0)
-    ts = np.concatenate(([-1.0, hi], roots[(roots >= -1.0) & (roots <= hi)]))
+    """Max of f = sum_k c_k G_k^{(n)} on [-1, hi], in floats: f at -1, hi and the critical points between."""
+    ts = np.concatenate(([-1.0, hi], _critical_points(n, c, hi, 0.0)))
     return float((c @ gegenbauer_values(n, len(c) - 1, ts)).max())
 
 
@@ -150,15 +150,15 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     Minimizes f(1) over f = sum_{k<=d} c_k G_k^{(n)} with c_0 = 1 and
     c_k >= 0, subject to f(t_i) <= 0 at grid+1 equally spaced points of
     [-1, s]. One simplex tableau holds a working set of grid points: after
-    each solve, every point where f exceeds the simplex tolerance joins it,
-    and once none is left the optimum is that of the whole grid. From
-    ``_ROOT_SCAN_GRID`` points on f is evaluated only where it can exceed
-    that (:func:`_root_probes`). Between grid points the float solution can
-    exceed 0, so c_0 is lowered by the peak of f on [-1, s], taken at the
-    critical points of f (:func:`_peak`), plus a float margin, before an
-    exact check; a rejected check adds 1, 8, 64, ... units of 2^-32. The
-    repair only ever weakens the bound. When that slack would reach c_0 = 1,
-    no certificate is returned.
+    each solve, every probed point where f exceeds the simplex tolerance
+    joins it, and once none is left the optimum is that of the whole grid.
+    Below ``_ROOT_SCAN_GRID`` points all are probed, from there on a stencil
+    around the ends and critical points of f (:func:`_root_probes`). Between
+    grid points the float solution can exceed 0, so c_0 is lowered by the
+    peak of f on [-1, s], taken at the critical points of f (:func:`_peak`),
+    plus a float margin, before an exact check; a rejected check adds 1, 8,
+    64, ... units of 2^-32. The repair only ever weakens the bound. When that
+    slack would reach c_0 = 1, no certificate is returned.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")

@@ -15,7 +15,7 @@ from poscert.delsarte import (
 )
 from poscert.gegenbauer import gegenbauer_values
 from poscert.polycore import Poly, rat
-from poscert.simplex import Tableau
+from poscert.simplex import _TOL as SIMPLEX_TOL, Tableau
 
 
 def test_known_certificates():
@@ -322,15 +322,61 @@ def test_working_set_stays_far_below_the_grid(simplex_widths, n, d, grid):
     assert simplex_widths[-1] < (grid + 1) / 10
 
 
-@pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (24, 10, 50000), (3, 14, 80000), (16, 15, 60000)])
-def test_root_scan_builds_the_whole_grid_working_sets(monkeypatch, simplex_widths, n, d, grid):
-    # every round adds exactly the points a scan of the whole grid adds
-    roots = lp_bound(n, Q(1, 2), d, grid).float_bound
-    widths = simplex_widths[:]
-    simplex_widths.clear()
-    monkeypatch.setattr(delsarte, "_ROOT_SCAN_GRID", grid + 1)
-    assert lp_bound(n, Q(1, 2), d, grid).float_bound == roots
-    assert simplex_widths == widths
+def grid_max(n, c, s, grid):
+    # the largest value of f = sum_k c_k G_k at the grid points of lp_bound, 50,000 at a time
+    s_f, top = float(s), -math.inf
+    for lo in range(0, grid + 1, 50_000):
+        idx = np.arange(lo, min(lo + 50_000, grid + 1))
+        ts = np.where(idx == grid, s_f, -1.0 + (s_f + 1.0) * (idx / grid))
+        top = max(top, float((c @ gegenbauer_values(n, len(c) - 1, ts)).max()))
+    return top
+
+
+def test_root_scan_leaves_no_grid_point_above_tol():
+    # the critical-point scan probes a few hundred points, yet f <= tol on the whole grid
+    rng = random.Random(42)
+    cases = [(24, Q(1, 2), 10, 1_818_181)]
+    for _ in range(150):
+        n, d, grid = rng.randint(3, 24), rng.randint(4, 24), rng.randint(10_000, 300_000)
+        cases.append((n, rng.choice([Q(1, 2), Q(0), Q(-1, n), Q(1, 3), Q(9, 10)]), d, grid))
+    feasible = 0
+    for n, s, d, grid in cases:
+        try:
+            res = lp_bound(n, s, d, grid)
+        except LpInfeasible:
+            continue
+        feasible += 1
+        assert grid_max(n, res.float_coeffs, s, grid) <= SIMPLEX_TOL, (n, s, d, grid)
+    assert feasible >= 100
+
+
+@pytest.mark.parametrize("n, d", [(24, 12), (8, 12), (3, 14), (16, 15)])
+def test_fine_grid_evaluations_grow_with_the_log_of_the_grid(value_sizes, n, d):
+    # each round evaluates f on a stencil, -2..3 and +-2^j for 2^j < grid (36 offsets at 10^5, 46 at
+    # 3 * 10^6), around at most d + 1 centers: the two ends and the critical points of f
+    most = {}
+    for grid in (100_000, 3_000_000):
+        value_sizes.clear()
+        assert lp_bound(n, Q(1, 2), d, grid).certificate is not None
+        most[grid] = max(value_sizes)
+    assert most[3_000_000] <= (d + 1) * 46
+    assert most[3_000_000] < 1.5 * most[100_000]  # for 30 times the grid points
+
+
+@pytest.mark.parametrize("tiny", [1e-17, 1e-200])
+def test_root_scan_drops_a_negligible_tail(monkeypatch, tiny):
+    # a trailing x_{d+1} = tiny changes neither the probes nor the LP
+    n, d, grid = 12, 11, 100_000
+    plain = lp_bound(n, Q(1, 2), d, grid)
+    x = plain.float_coeffs[1:]
+    assert np.array_equal(delsarte._root_probes(n, np.append(x, tiny), 0.5, grid),
+                          delsarte._root_probes(n, x, 0.5, grid))
+    probes = delsarte._root_probes
+    monkeypatch.setattr(delsarte, "_root_probes", lambda n, x, s_f, grid: probes(n, np.append(x, tiny), s_f, grid))
+    tailed = lp_bound(n, Q(1, 2), d, grid)
+    assert tailed.float_bound == plain.float_bound
+    assert np.array_equal(tailed.float_coeffs, plain.float_coeffs)
+    assert tailed.certificate.bound == plain.certificate.bound
 
 
 @pytest.mark.parametrize("n, d, grid", [(8, 12, 60000), (12, 11, 100000)])
