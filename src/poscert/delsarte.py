@@ -27,7 +27,7 @@ from .gegenbauer import GegenbauerCoeffs, expand_gegenbauer, gegenbauer_roots, g
 from .gegenbauer import to_gegenbauer_basis
 # Unused here; stays bound because perfbench/spans.py wraps delsarte.gegenbauer.
 from .gegenbauer import gegenbauer  # noqa: F401
-from .polycore import Interval, Poly, nonpositivity_witness, rat, rat_str
+from .polycore import Interval, Poly, integer, nonpositivity_witness, rat, rat_str
 from .simplex import _TOL as _SIMPLEX_TOL, Tableau, simplex_max
 
 
@@ -77,9 +77,7 @@ def verify_certificate(n: int, s, f: Poly) -> BoundCertificate:
     nonpositive c_0, or a positivity violation on [-1, s] (with a
     witness subinterval).
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    s = rat(s)
+    n, s = integer(n, 2, "dimension"), rat(s)
     if not (-1 <= s < 1):
         raise ValueError("cosine threshold must lie in [-1, 1)")
     coeffs = to_gegenbauer_basis(n, f)
@@ -160,17 +158,12 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     64, ... units of 2^-32. The repair only ever weakens the bound. When that
     slack would reach c_0 = 1, no certificate is returned.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    s_exact = rat(s)
+    n, s_exact = integer(n, 2, "dimension"), rat(s)
     if not (-1 <= s_exact < 1):
         raise ValueError("cosine threshold must lie in [-1, 1)")
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if d == 0:
+    if (d := integer(d, 0, "degree")) == 0:
         raise LpInfeasible("f = c_0 = 1 is positive, so degree 0 is infeasible")
-    if grid < d + 2:
-        raise ValueError("grid must be at least d + 2")
+    grid = integer(grid, d + 2, "grid")
 
     s_f = float(s_exact)
     if s_f == -1.0:  # every grid point is -1: the grid is its one point

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .polycore import RationalLike, bareiss_steps, rat
+from .polycore import RationalLike, bareiss_steps, integer, rat
 
 _SYM_TOL = 1e-12
 _EIG_SIGN_TOL = 1e-12
@@ -145,9 +145,7 @@ def power_preserver_witness(n: int, alpha: RationalLike) -> Optional[PowerWitnes
     by w^T L w + (sum |w_i|)^2 < 0, with B doubled from 64 until that holds.
     alpha is read by :func:`~poscert.polycore.rat`, a float as the decimal it prints as.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    alpha = rat(alpha)
+    n, alpha = integer(n, 2, "dimension"), rat(alpha)
     p, q = alpha.numerator, alpha.denominator
     if alpha >= n - 2 or (alpha >= 0 and q == 1):  # FitzGerald--Horn
         return None

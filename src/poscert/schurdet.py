@@ -29,7 +29,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .polycore import RationalLike, bareiss_step, clear_denominators, det_exact, rat
+from .polycore import RationalLike, bareiss_step, clear_denominators, det_exact, integer, rat
 
 
 def schur_eval(tpl: Sequence[int], xs: Sequence[RationalLike]) -> Fraction:
@@ -61,6 +61,7 @@ class TruncatedSeries:
 
     @staticmethod
     def make(cutoff: int, coeffs: Sequence[RationalLike] = ()) -> "TruncatedSeries":
+        cutoff = integer(cutoff, 0, "cutoff")
         cs = [rat(c) for c in coeffs][: cutoff + 1]
         cs += [Fraction(0)] * (cutoff + 1 - len(cs))
         return TruncatedSeries(cutoff, tuple(cs))
@@ -111,8 +112,7 @@ def _cleared(f_coeffs, u, v, cutoff):
     n = len(uu)
     if len(vv) != n:
         raise ValueError("u and v must have equal length")
-    if cutoff < n * (n - 1) // 2:
-        raise ValueError("cutoff must be at least binom(N, 2)")
+    cutoff = integer(cutoff, n * (n - 1) // 2, "cutoff")
     (g, df), (a, du), (b, dv) = map(clear_denominators, ([rat(c) for c in f_coeffs][: cutoff + 1], uu, vv))
     return g, a, b, [(du * dv) ** m * df**n for m in range(cutoff + 1)]
 

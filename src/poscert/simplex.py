@@ -44,9 +44,8 @@ class Tableau:
     """The dense tableau [[B^-1 A, B^-1], [y A - c, y]], y = c_B B^-1, in factors.
 
     That tableau is E T0 with T0 = [[A, I], [-c, 0]] and E = [[B^-1, 0], [y, 1]].
-    ``cols`` holds T0, which a solve only reads: a view of the first n + m
-    columns of a buffer that doubles when added columns overflow it, with the
-    slack block moved to stay last. ``inv`` holds E and the right-hand side
+    ``cols`` holds T0, which a solve only reads; added columns go in before the
+    slack block, which stays last. ``inv`` holds E and the right-hand side
     E (b', 0) = (x_B, c_B x_B), b' the perturbed b: the (m + 1) x (m + 2)
     numbers that a pivot rewrites.
     """
@@ -59,7 +58,7 @@ class Tableau:
         if (b < 0).any():
             raise ValueError("the simplex requires b >= 0")
         self.m, self.n, self.b = m, 0, b
-        self._buf = np.zeros((m + 1, 0))
+        self.cols = np.eye(m + 1, m)
         self.inv = np.eye(m + 1, m + 2)
         self.inv[:m, m + 1] = b + _PERTURB * np.arange(1, m + 1) / m
         self.basis = np.arange(m)
@@ -71,13 +70,7 @@ class Tableau:
         m, n, k = self.m, self.n, c.size
         if c.ndim != 1 or A.shape != (m, k):
             raise ValueError("inconsistent LP dimensions")
-        if n + k + m > self._buf.shape[1]:
-            buf = np.empty((m + 1, max(2 * self._buf.shape[1], n + k + m)))
-            buf[:, :n] = self._buf[:, :n]
-            self._buf = buf
-        self._buf[:m, n:n + k], self._buf[m, n:n + k] = A, -c
-        self._buf[:, n + k:n + k + m] = np.eye(m + 1, m)
-        self.cols = self._buf[:, :n + k + m]
+        self.cols = np.concatenate((self.cols[:, :n], np.vstack((A, -c)), self.cols[:, n:]), axis=1)
         self.basis[self.basis >= n] += k
         self.n += k
 

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from poscert.gegenbauer import _check_dim, gegenbauer_values, normalized_moment
-from poscert.polycore import Poly, RationalLike
+from poscert.gegenbauer import gegenbauer_values, normalized_moment
+from poscert.polycore import Poly, RationalLike, integer
 from poscert.schurdet import TruncatedSeries, _cleared
 
 _UNIT_NORM_TOL = 1e-12
@@ -49,7 +49,7 @@ def gegenbauer_via_generating_series(n: int, kmax: int) -> list[Poly]:
     generating function (1 - rt)/(1 - 2rt + r^2) is expanded instead, and
     its coefficients are already the normalized G_k^{(2)}.
     """
-    _check_dim(n)
+    integer(n, 2, "dimension")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if n == 2:
@@ -114,7 +114,7 @@ def gegenbauer_coeffs_by_fractions(n: int, p: Poly) -> list[Fraction]:
     c_k is the top coefficient of the remainder over that of G_k, for k =
     deg p down to 0. The zero polynomial gives [].
     """
-    _check_dim(n)
+    integer(n, 2, "dimension")
     d = len(p.coeffs) - 1
     fam = _gegenbauer_fractions(n, d)
     r, out = list(p.coeffs), [Fraction(0)] * (d + 1)
@@ -152,13 +152,13 @@ def jacobi_normalization_factor(n: int, k: int) -> Fraction:
     (n-3)/2, whose value at 1 is binom(k + a, k) = prod_{i<=k} (2i+n-3)/(2i);
     dividing the G_k(1) = 1 coefficients by it recovers the tabulated ones.
     """
-    _check_dim(n)
+    integer(n, 2, "dimension")
     return Fraction(prod(range(n - 1, 2 * k + n - 2, 2)), 2 ** k * factorial(k))
 
 
 def dim_spherical_harmonics(n: int, k: int) -> int:
     """N(n,k) = C(k+n-2, k) + C(k+n-3, k-1), with the k=0 second term 0."""
-    _check_dim(n)
+    integer(n, 2, "dimension")
     if k < 0:
         raise ValueError("k must be >= 0")
     second = comb(k + n - 3, k - 1) if k >= 1 else 0
@@ -167,7 +167,7 @@ def dim_spherical_harmonics(n: int, k: int) -> int:
 
 def inner_product_normalized(n: int, p: Poly, q: Poly) -> Fraction:
     """<p, q> under the normalized orthogonality weight, exact."""
-    _check_dim(n)
+    integer(n, 2, "dimension")
     out = Fraction(0)
     for i, a in enumerate(p.coeffs):
         if not a:
@@ -185,7 +185,7 @@ def gegenbauer_gram_check(n: int, k: int, points: Sequence[Sequence[float]]) -> 
     image of a Gram matrix of unit vectors is positive semidefinite, so
     callers assert the returned value >= -tol.
     """
-    _check_dim(n)
+    integer(n, 2, "dimension")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points must be an (N, {n}) array")
