@@ -45,15 +45,19 @@ class SymMatrix:
         self.entries.setflags(write=False)
 
     @staticmethod
-    def from_rows(rows) -> "SymMatrix":
+    def from_rows(rows, what: str = "matrix entries") -> "SymMatrix":
+        """The one reader of an outside float matrix: square, finite (a ValueError names ``what`` and
+        the first entries that are not) and symmetric within _SYM_TOL times max(1, its largest |entry|)."""
         a = np.asarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        sym = SymMatrix(a.shape[0], a)  # rejects infinite entries before a - a.T meets inf - inf
-        scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-        if float(np.abs(a - a.T).max()) > _SYM_TOL * scale:
-            raise ValueError(f"asymmetry exceeds {_SYM_TOL}")
-        return sym
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        bad = np.argwhere(~np.isfinite(a))  # before a - a.T meets inf - inf
+        if bad.size:
+            named = ", ".join(f"{a[i, j]} at ({i}, {j})" for i, j in bad[:4])
+            raise ValueError(f"{what} must be finite, got {named}{', ...' if len(bad) > 4 else ''}")
+        if float(np.abs(a - a.T).max(initial=0.0)) > _SYM_TOL * max(1.0, float(np.abs(a).max(initial=0.0))):
+            raise ValueError(f"matrix must be symmetric within {_SYM_TOL} times max(1, its largest |entry|)")
+        return SymMatrix(len(a), a)
 
 
 @dataclass(frozen=True)
@@ -169,27 +173,18 @@ def power_preserver_witness(n: int, alpha: RationalLike) -> Optional[PowerWitnes
 
 
 class DistanceMatrix:
-    """Metric data on points x_0..x_n: symmetric, zero diagonal, positive
-    off-diagonal. The triangle inequality is not checked -- embedding
-    failure is the interesting signal for non-metric data."""
+    """Metric data on points x_0..x_n, read by :meth:`SymMatrix.from_rows`, whose read-only
+    array is ``dists``: zero diagonal, positive off-diagonal. The triangle inequality is not
+    checked -- embedding failure is the interesting signal for non-metric data."""
 
     def __init__(self, dists):
-        d = np.asarray(dists, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("distance matrix must be square")
-        bad = np.argwhere(~np.isfinite(d))
-        if bad.size:
-            named = ", ".join(f"{d[i, j]} at ({i}, {j})" for i, j in bad[:4])
-            raise ValueError(f"distances must be finite, got {named}{', ...' if len(bad) > 4 else ''}")
-        if float(np.abs(d - d.T).max(initial=0.0)) > _SYM_TOL * max(1.0, float(np.abs(d).max())):
-            raise ValueError("distance matrix must be symmetric")
+        d = SymMatrix.from_rows(dists, "distances").entries
         if np.abs(np.diag(d)).max(initial=0.0) > 0:
             raise ValueError("diagonal distances must be zero")
         off = d[~np.eye(d.shape[0], dtype=bool)]
         if off.size and off.min() <= 0:
             raise ValueError("off-diagonal distances must be positive")
         self.dists = d
-        self.dists.setflags(write=False)
 
     @property
     def n_points(self) -> int:

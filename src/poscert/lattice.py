@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,6 +104,11 @@ _CARTAN_EDGES = {
 }
 
 
+def _gram(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact Gram matrix (sum_k a_k b_k / den) of the integer rows a, b."""
+    return tuple(tuple(Fraction(sum(map(mul, a, b)), den) for b in rows) for a in rows)
+
+
 def e8_coordinate_lattice() -> Lattice:
     """E8 as integer/half-integer coordinates with even coordinate sum.
 
@@ -110,18 +116,8 @@ def e8_coordinate_lattice() -> Lattice:
     all-halves vector; det(Gram) = 1 with even diagonal, matching the
     root-basis construction invariant for invariant.
     """
-    half = Fraction(1, 2)
-    rows: list[list[Fraction]] = [[Fraction(0)] * 8 for _ in range(8)]
-    rows[0][0] = Fraction(2)
-    for i in range(1, 7):
-        rows[i][i - 1] = Fraction(-1)
-        rows[i][i] = Fraction(1)
-    rows[7] = [half] * 8
-    gram = tuple(
-        tuple(sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(8))
-        for i in range(8)
-    )
-    return Lattice("E8-coords", 8, gram)
+    rows = [[4] + [0] * 7] + [[0] * (i - 1) + [-2, 2] + [0] * (7 - i) for i in range(1, 7)] + [[1] * 8]
+    return Lattice("E8-coords", 8, _gram(rows, 4))  # the rows doubled, so over 2^2
 
 
 # Largest k accepted in Z<k>. Building Z^k checks its Gram matrix positive
@@ -266,15 +262,12 @@ def leech_lattice() -> Lattice:
     gens.append([-3] + [1] * 23)
 
     basis = _lll(_hnf_basis(gens))
-    gram_scaled = [
-        [sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(24)] for i in range(24)
-    ]
-    if any(gram_scaled[i][j] % 8 for i in range(24) for j in range(24)):
+    gram = _gram(basis, 8)
+    if any(x.denominator != 1 for row in gram for x in row):
         raise AssertionError("Leech Gram is not integral at scale 8")
-    gram = [[Fraction(gram_scaled[i][j] // 8) for j in range(24)] for i in range(24)]
     if any(gram[i][i] % 2 for i in range(24)):
         raise AssertionError("Leech construction is not even")
-    lat = Lattice("Leech", 24, tuple(tuple(row) for row in gram))
+    lat = Lattice("Leech", 24, gram)
     if lat.covolume_sq != 1:
         raise AssertionError("Leech construction is not unimodular")
     return lat

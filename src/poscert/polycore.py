@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
@@ -41,15 +41,15 @@ def integer(x, lo: int, what: str) -> int:
 
 
 def rat(x: RationalLike) -> Fraction:
-    """The one reader of numbers, inverse of :func:`rat_str`: a Fraction as it is, any integer as a Python int,
-    a float as the decimal it prints as (``float.__repr__``: 0.1 is 1/10), a string as ``Fraction`` reads it. A
-    string is refused, quoted, when its exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits
-    (the cost of 10**exponent has no bound) or another digit run reaches that many (int() refuses it unquoted)."""
+    """The one reader of numbers, inverse of :func:`rat_str`: a Fraction as it is, any integer as a Python int, any
+    float, numpy's too, as the decimal ``str`` prints (0.1 is 1/10), a string as ``Fraction`` reads it. A string is
+    refused, quoted, when its exponent reaches ``sys.get_int_max_str_digits()`` in magnitude or digits (the cost
+    of 10**exponent has no bound) or another digit run reaches that many (int() refuses it unquoted)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Integral):
         return Fraction(operator.index(x))
-    s = float.__repr__(x) if isinstance(x, float) else x
+    s = str(x) if isinstance(x, Real) else x
     if isinstance(s, str) and 0 < (limit := sys.get_int_max_str_digits()):
         m = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", s, re.IGNORECASE)
         if m and limit <= max(float(m[1]), len(m[1].replace("_", ""))):

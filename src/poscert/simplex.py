@@ -4,18 +4,21 @@ Solves   max c.x  subject to  A x <= b,  x >= 0,  with b >= 0,
 so the slack basis is immediately feasible. Pivot columns are chosen by
 Dantzig's rule (most negative reduced cost). Against cycling, x_B starts
 from b raised by a small amount that differs from row to row (Charnes
-1952): basic values then rarely tie at zero, so pivots make progress where
-Dantzig's rule on the exact b can cycle. The reported objective is y.b
-with the unperturbed b. The LPs here have a handful of
-rows and thousands of columns, so the solver keeps only the m x m
-inverse of the basis (the revised method of Dantzig and Orchard-Hays,
-1954): each iteration prices every column in one matrix-vector product,
-and a pivot rewrites B^-1, never the columns. The ratio test runs on
-Python floats: for up to about 40 rows a loop over m numbers costs less
-than the dozen numpy calls it replaces. One :class:`Tableau` lives
-across the rounds of a constraint-generation loop: columns added after a
-solve enter against the last basis, which stays primal feasible because
-b does not change, and the next solve resumes from it.
+1952): basic values then rarely tie at zero, so pivots make progress
+where Dantzig's rule on the exact b can cycle. The reported objective is
+y.b with the unperturbed b. A solve stops once no reduced cost is below
+-max(tol, 16 eps |c_B x_B|): their rounding noise grows with the
+objective, and a test on tol alone pivots on that noise at large bounds.
+The LPs here have a handful of rows and thousands of columns, so the
+solver keeps only the m x m inverse of the basis (the revised method of
+Dantzig and Orchard-Hays, 1954): each iteration prices every column in
+one matrix-vector product, and a pivot rewrites B^-1, never the columns.
+The ratio test runs on Python floats: for up to about 40 rows a loop
+over m numbers costs less than the dozen numpy calls it replaces. One
+:class:`Tableau` lives across the rounds of a constraint-generation
+loop: columns added after a solve enter against the last basis, which
+stays primal feasible because b does not change, and the next solve
+resumes from it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _TOL = 1e-9
-_MAX_ITER = 200_000
+_NOISE = 16 * np.finfo(float).eps  # the float noise of a reduced cost, per unit of |c_B x_B|
+_MAX_ITER = 200_000  # some LPs at cos 4/5 and 9/10 in dimensions 22-29 still reach it (README, "delsarte")
 _PERTURB = 2.0**-30  # row i of x_B starts at b_i + _PERTURB (i + 1) / m
 
 
@@ -82,7 +86,7 @@ class Tableau:
         for _ in range(_MAX_ITER):
             costs = y @ self.cols  # the objective row (y, 1) T0
             enter = int(costs.argmin())
-            if costs[enter] >= -_TOL:
+            if costs.item(enter) >= -max(_TOL, _NOISE * abs(inv.item(m, m + 1))):  # Python floats, cheaper here
                 break
 
             col = E @ self.cols[:, enter]  # the tableau column: B^-1 a, reduced cost
@@ -98,8 +102,7 @@ class Tableau:
             inv -= col[:, None] * inv[leave]
             basis[leave] = enter
             pivots += 1
-        else:  # Dantzig's rule on the perturbed b still fails to end in floats: lp_bound(200, 1/2, 60, 2000)
-            # pivots _MAX_ITER times here while its dual objective drifts to about 4e16
+        else:  # Dantzig's rule on the perturbed b can still fail to end in floats at small angles
             raise RuntimeError("simplex iteration limit exceeded")
 
         # y.b, not c_B x_B: over long runs x_B drifts further than y does

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from poscert import delsarte
+from poscert import delsarte, simplex
 from poscert.delsarte import (
     CertificateRejection,
     LpInfeasible,
@@ -475,3 +475,37 @@ def test_certificate_soundness_randomized():
                 if not pts or (np.asarray(pts) @ cand).max() <= s + 1e-12:
                     pts.append(cand)
         assert code_within_bound(pts, cert)
+
+
+# Small-angle and high-dimension LPs whose bounds reach 1e8-1e15: the rounding
+# noise in the reduced costs grows with the objective, so with a stop test on
+# the fixed tolerance alone the simplex pivoted on it until the iteration limit.
+LARGE_BOUND_LPS = [
+    (200, Q(1, 2), 60, 2000), (20, Q(9, 10), 80, 562), (20, Q(9, 10), 40, 2000), (26, Q(4, 5), 44, 11974),
+    (24, Q(5, 7), 50, 5000), (55, Q(1, 2), 30, 2000), (55, Q(1, 2), 40, 2000), (65, Q(1, 2), 40, 2000),
+    (70, Q(1, 2), 30, 2000),
+]
+
+
+@pytest.mark.parametrize("n, s, d, grid", LARGE_BOUND_LPS)
+def test_large_bound_lps_end_within_5000_pivots(monkeypatch, n, s, d, grid):
+    monkeypatch.setattr(simplex, "_MAX_ITER", 5000)
+    res = lp_bound(n, s, d, grid)
+    assert res.float_bound > 1e8
+    assert res.certificate is not None or res.rejection
+
+
+def test_lp_bound_reads_a_float32_cosine():
+    assert lp_bound(3, np.float32(0.5), 6).certificate.bound == lp_bound(3, 0.5, 6).certificate.bound
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: verify_certificate(3, 1, Poly([1, 1])), ValueError,
+                 "cosine threshold must lie in [-1, 1)", id="cos-1"),
+    pytest.param(lambda: verify_certificate(3, "-11/10", Poly([1, 1])), ValueError,
+                 "cosine threshold must lie in [-1, 1)", id="cos-below-minus-1"),
+])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -379,3 +379,35 @@ def test_vasudeva_validation():
         vasudeva_2x2_check([(2.0, 1.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         vasudeva_2x2_check([(-1.0, 1.0), (2.0, 1.0)])
+
+
+def test_distances_are_the_readers_read_only_upper_triangle():
+    d = DistanceMatrix([[0, 1, 2], [1 + 1e-13, 0, 1], [2, 1, 0]])
+    assert np.array_equal(d.dists, SymMatrix.from_rows(d.dists).entries) and d.dists[1, 0] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        d.dists[0, 1] = 3
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: SymMatrix(3, np.eye(2)), "expected a 3x3 matrix", id="sym-matrix-shape"),
+    pytest.param(lambda: SymMatrix.from_rows([[1, 2]]), "matrix must be square, got shape (1, 2)", id="rows-1x2"),
+    pytest.param(lambda: DistanceMatrix([[0, 1, 2], [1, 0, 1]]), "matrix must be square, got shape (2, 3)",
+                 id="distances-2x3"),
+    pytest.param(lambda: DistanceMatrix([0, 1]), "matrix must be square, got shape (2,)", id="distances-1d"),
+    pytest.param(lambda: SymMatrix.from_rows([[1, math.nan], [math.inf, 1]]),
+                 "matrix entries must be finite, got nan at (0, 1), inf at (1, 0)", id="rows-nan-inf"),
+    pytest.param(lambda: DistanceMatrix([[-math.inf] * 3] * 2 + [[0, 1, 0]]),
+                 "distances must be finite, got -inf at (0, 0), -inf at (0, 1), -inf at (0, 2), -inf at (1, 0), ...",
+                 id="distances-six-inf"),
+    pytest.param(lambda: SymMatrix.from_rows([[1, 2], [2.1, 1]]),
+                 "matrix must be symmetric within 1e-12 times max(1, its largest |entry|)", id="rows-asymmetric"),
+    pytest.param(lambda: DistanceMatrix([[0, 1], [2, 0]]),
+                 "matrix must be symmetric within 1e-12 times max(1, its largest |entry|)", id="distances-asymmetric"),
+    pytest.param(lambda: DistanceMatrix([[1, 1], [1, 0]]), "diagonal distances must be zero", id="distances-diagonal"),
+    pytest.param(lambda: DistanceMatrix([[0, 0.0], [0.0, 0]]), "off-diagonal distances must be positive",
+                 id="distances-zero"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -435,3 +435,22 @@ def test_certify_fuzz_against_dense_sampling():
                 x = lo + (hi - lo) * Q(i, 200)
                 assert p(x) <= 0, (p, lo, hi, x)
     assert certified > 10  # the fuzz actually exercised the True branch
+
+
+@pytest.mark.parametrize("x, expected", [
+    (np.float32(0.5), Q(1, 2)), (np.float32(0.1), Q(1, 10)), (np.float16(0.1), Q(1, 10)), (np.float64(0.1), Q(1, 10)),
+])
+def test_rat_reads_every_numpy_float_as_the_decimal_it_prints(x, expected):
+    assert rat(x) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Poly([1, 1]) ** -1, "negative polynomial power", id="poly-negative-power"),
+    pytest.param(lambda: rat("1/2/3"), "Invalid literal for Fraction: '1/2/3'", id="rat-two-slashes"),
+    pytest.param(lambda: rat(np.float32("nan")), f"{np.float32('nan')!r} is not a finite number",
+                 id="rat-float32-nan"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -454,3 +454,17 @@ def test_formula_skips_a_prefix_whose_lead_column_vanishes(monkeypatch):
         assert got == _formula_by_combinations(fc, u, v, cut)
         assert got == det_series_direct(fc, u, v, cut)
         assert any(got.coeffs)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: schur_eval((1, 0), [1, 2, 3]), "tuple length must match the number of variables",
+                 id="schur-eval-lengths"),
+    pytest.param(lambda: det_series_direct([1, 1, 1], [1, 2], [1], 2), "u and v must have equal length",
+                 id="direct-lengths"),
+    pytest.param(lambda: det_series_formula([1, 1, 1], [1], [1, 2], 2), "u and v must have equal length",
+                 id="formula-lengths"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

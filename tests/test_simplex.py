@@ -192,3 +192,14 @@ def test_matches_vertex_enumeration(seed, rows, cols):
             assert (y >= -1e-9).all() and b @ y == pytest.approx(best, abs=1e-9)
             assert res.reduced_costs[:n] == pytest.approx(A.T @ y - c, abs=1e-9)
             assert (res.reduced_costs[:n] >= -1e-9).all()
+
+
+@pytest.mark.parametrize("lp, message", [
+    pytest.param(([1.0], [[1.0]], [[1.0]]), "inconsistent LP dimensions", id="b-2d"),
+    pytest.param(([1.0, 2.0], [[1.0]], [1.0]), "inconsistent LP dimensions", id="c-longer-than-A"),
+    pytest.param(([1.0], [[1.0]], [-1.0]), "the simplex requires b >= 0", id="b-negative"),
+])
+def test_refusals(lp, message):
+    with pytest.raises(ValueError) as info:
+        Tableau(*lp)
+    assert str(info.value) == message
