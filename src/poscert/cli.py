@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import delsarte, entrywise, lattice, schurdet
 from .gegenbauer import gegenbauer as gegenbauer_poly
 from .gegenbauer import to_gegenbauer_basis, to_jacobi_basis
-from .polycore import Poly, rat_str
+from .polycore import Poly, rat, rat_str
 
 # Size limits; README ("CLI") has the timings behind them. A `schur verify` trial at
 # N = 17 and degree 24 (elimination on series of 7 terms) takes 0.05 s on average on a
@@ -55,15 +55,11 @@ def _load_list(path: str, key: str, what: str, ok) -> list:
 
 
 def _load_rows(path: str) -> list:
-    """The "rows" of a matrix file: a list of equally long lists."""
+    """The "rows" of a matrix file: a list of lists of numbers, for :meth:`SymMatrix.from_rows` to check."""
     rows = _load_list(path, "rows", "lists", lambda r: isinstance(r, list))
     for i, r in enumerate(rows):
-        if len(r) != len(rows[0]):
-            raise ValueError(f"{path}: row {i} has {len(r)} entries, row 0 has {len(rows[0])}")
         if not all(type(v) in (int, float) for v in r):  # json reads true and false as bools, an int subclass
             raise ValueError(f"{path}: row {i} has an entry that is not a number")
-        if any(isinstance(v, int) and abs(v) > sys.float_info.max for v in r):
-            raise ValueError(f"{path}: row {i} has an integer beyond the float range")
     return rows
 
 
@@ -137,10 +133,11 @@ def _cmd_check(args) -> CommandResult:
         return CommandResult(0 if rep.is_psd else 1, payload)
 
     if args.check_command == "preserver":
-        w = entrywise.power_preserver_witness(args.dim, args.power)  # None: x^power preserves psd
+        power = rat(args.power)
+        w = entrywise.power_preserver_witness(args.dim, power)  # None: x^power preserves psd
         witness = None if w is None else {"power": rat_str(w.power), "x": [rat_str(v) for v in w.x],
                                           "w": [str(v) for v in w.w], "upper": rat_str(w.upper)}
-        return CommandResult(0, {"witness": witness, "power": args.power, "dim": args.dim})
+        return CommandResult(0, {"witness": witness, "power": rat_str(power), "dim": args.dim})
 
     # midconvex
     pairs = _load_list(
@@ -150,18 +147,16 @@ def _cmd_check(args) -> CommandResult:
     )
     if len(pairs) > MAX_MIDCONVEX_SAMPLES:
         raise ValueError(f"at most {MAX_MIDCONVEX_SAMPLES} samples, got {len(pairs)}")
-    samples = [(float(x), float(v)) for x, v in pairs]
-    rep = entrywise.vasudeva_2x2_check(samples)
-    ok = rep.nonnegative and rep.nondecreasing and rep.mult_midconvex
+    rep = entrywise.vasudeva_2x2_check(pairs)
     payload = {
         "nonnegative": rep.nonnegative,
         "nondecreasing": rep.nondecreasing,
         "mult_midconvex": rep.mult_midconvex,
     }
-    if not ok:
+    if rep.violation:  # exactly when a predicate fails
         payload["reason"] = "2x2 preserver predicates violated"
-        payload["violation"] = list(rep.violation) if rep.violation else None
-    return CommandResult(0 if ok else 1, payload)
+        payload["violation"] = list(rep.violation)
+    return CommandResult(1 if rep.violation else 0, payload)
 
 
 def _cmd_embed(args) -> CommandResult:
@@ -289,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("matrix", help="matrix JSON file")
     cp.add_argument("--tol", type=float, default=None)
     cv = csub.add_parser("preserver")
-    cv.add_argument("--power", type=float, required=True)
+    cv.add_argument("--power", required=True, help="'p/q' or a decimal; a negative p/q as --power=-p/q")
     cv.add_argument("--dim", type=_ranged(2, MAX_PRESERVER_DIM), required=True, help=f"2-{MAX_PRESERVER_DIM}")
     cm = csub.add_parser("midconvex")
     cm.add_argument("samples", help="samples JSON file")

@@ -12,6 +12,7 @@ Every operation is pure and deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +47,17 @@ class SymMatrix:
 
     @staticmethod
     def from_rows(rows, what: str = "matrix entries") -> "SymMatrix":
-        """The one reader of an outside float matrix: square, finite (a ValueError names ``what`` and
-        the first entries that are not) and symmetric within _SYM_TOL times max(1, its largest |entry|)."""
-        a = np.asarray(rows, dtype=float)
+        """The one reader of an outside float matrix: rows of one length, square, finite (a ValueError names ``what``
+        and the first entries that are not) and symmetric within _SYM_TOL times max(1, its largest |entry|)."""
+        try:
+            a = np.asarray(rows, dtype=float)
+        except (ValueError, OverflowError):  # numpy names neither the ragged row nor the int beyond the float range
+            for i, r in enumerate(rows):
+                if np.size(r) != np.size(rows[0]):
+                    raise ValueError(f"row {i} has {np.size(r)} entries, row 0 has {np.size(rows[0])}") from None
+                if any(isinstance(v, int) and abs(v) > sys.float_info.max for v in np.ravel(r)):
+                    raise ValueError(f"row {i} has an integer beyond the float range") from None
+            raise
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         bad = np.argwhere(~np.isfinite(a))  # before a - a.T meets inf - inf
@@ -278,7 +287,8 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
 
     Requires distinct positive x in increasing order. Multiplicative
     midconvexity f(sqrt(xy))^2 <= f(x) f(y) is tested on the pairs whose
-    geometric mean is itself a sample point (within 1e-12 relative).
+    geometric mean is itself a sample point (within 1e-12 relative). Each
+    predicate stops at its first violation; the first of the three is reported.
     """
     xs = [float(x) for x, _ in samples]
     fs = [float(v) for _, v in samples]
@@ -290,18 +300,16 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("sample points must be strictly increasing")
 
-    nonneg, nondec, midconv = True, True, True
-    violation = None
-    for x, v in zip(xs, fs):
-        if v < 0:
-            nonneg, violation = False, violation or ("nonnegative", x, v)
-            break
-    for (x1, v1), (x2, v2) in zip(zip(xs, fs), zip(xs[1:], fs[1:])):
-        if v2 < v1:
-            nondec = False
-            violation = violation or ("nondecreasing", x1, x2)
-            break
+    sign = next((("nonnegative", x, v) for x, v in zip(xs, fs) if v < 0), None)
+    order = next((("nondecreasing", x1, x2) for x1, x2, v1, v2 in zip(xs, xs[1:], fs, fs[1:]) if v2 < v1), None)
     fq, eps = [Fraction(v) for v in fs], Fraction(1e-12)  # exact: the squares of fs may overflow
+    midconvex = next((("mult_midconvex", xs[i], xs[j], xs[k]) for i, j, k in _mean_triples(xs)
+                      if fq[k] ** 2 > (rhs := fq[i] * fq[j]) + eps * max(1, abs(rhs))), None)
+    return VasudevaReport(sign is None, order is None, midconvex is None, sign or order or midconvex)
+
+
+def _mean_triples(xs: list[float]):
+    """(i, j, k) for i <= j in order, xs[k] the first sample within 1e-12 max(1, g) of g = sqrt(xs[i] xs[j])."""
     for i in range(len(xs)):
         for j in range(i, len(xs)):
             g = math.sqrt(xs[i]) * math.sqrt(xs[j])  # the product may overflow
@@ -310,8 +318,4 @@ def vasudeva_2x2_check(samples: Sequence[tuple[float, float]]) -> VasudevaReport
             # |xk - g| <= tol is the first with xk - g >= -tol, if any
             k = bisect_left(xs, -tol, key=lambda x: x - g)
             if k < len(xs) and xs[k] - g <= tol:
-                rhs = fq[i] * fq[j]
-                if fq[k] ** 2 > rhs + eps * max(1, abs(rhs)):
-                    midconv = False
-                    violation = violation or ("mult_midconvex", xs[i], xs[j], xs[k])
-    return VasudevaReport(nonneg, nondec, midconv, violation)
+                yield i, j, k

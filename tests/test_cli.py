@@ -94,6 +94,18 @@ def test_check_preserver_certifies_where_floats_cannot():
     assert Fraction(w["upper"]) < 0
 
 
+@pytest.mark.parametrize("argv, power", [
+    pytest.param(["--power", "1/3", "--dim", "6"], "1/3", id="one-third"),
+    pytest.param(["--power=-1/3", "--dim", "6"], "-1/3", id="minus-one-third"),
+    pytest.param(["--power", "0.1", "--dim", "3"], "1/10", id="decimal"),
+])
+def test_check_preserver_reads_the_power_as_the_library_does(argv, power):
+    # polycore.rat reads --power as it reads --cos: a p/q, a negative one after "=", a decimal exactly
+    res = run(["check", "preserver", *argv])
+    assert res.exit_code == 0
+    assert res.payload["power"] == res.payload["witness"]["power"] == power
+
+
 def test_check_midconvex(tmp_path):
     good = write(tmp_path, "exp.json",
                  {"samples": [[1.0, 2.718281828], [2.0, 7.389056099], [4.0, 54.598150033]]})
@@ -256,9 +268,9 @@ def test_sizes_rejected_up_front(tmp_path, argv, limit):
     pytest.param(["embed", "euclidean", "FILE"], {"rows": [[0, 1e200], [1e200, 0]]},
                  "squared distances overflow the float range", id="euclidean-square-overflow"),
     pytest.param(["check", "preserver", "--power", "nan", "--dim", "3"], None,
-                 "nan is not a finite number", id="preserver-power-nan"),
+                 "'nan' is not a finite number", id="preserver-power-nan"),
     pytest.param(["check", "preserver", "--power", "inf", "--dim", "3"], None,
-                 "inf is not a finite number", id="preserver-power-inf"),
+                 "'inf' is not a finite number", id="preserver-power-inf"),
     pytest.param(["embed", "sphere", "FILE"], {"rows": [[0, float("inf")], [float("inf"), 0]]},
                  "distances must be finite, got inf at (0, 1), inf at (1, 0)", id="sphere-inf"),
     pytest.param(["gegenbauer", "--dim", "3", "--expand", "FILE"], {"poly": [1, float("nan")]},
@@ -488,3 +500,33 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _main(*argv):
+    """poscert.cli run as a program: the process, with its stdout and stderr as pipes."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "poscert.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_main_prints_a_usage_error_as_one_json_line_on_stderr():
+    with _main("check", "preserver", "--power", "nan", "--dim", "3") as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b"" and err.decode().count("\n") == 1
+    assert json.loads(err) == {"reason": "'nan' is not a finite number"}
+
+
+def test_main_prints_the_text_rendering():
+    with _main("lattice", "info", "--name", "D4") as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    assert out.decode().splitlines()[:3] == ["lattice D4: rank 4", "  lambda1^2   = 2", "  kissing     = 24"]
+
+
+def test_main_leaves_stderr_empty_when_the_reader_stops_early():
+    # `| head -c 20` on a 1.3 MB payload: no traceback, and no "Exception ignored" line at exit either
+    with _main("gegenbauer", "--dim", "3", "--k", "1700") as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poscert import entrywise
 from poscert.entrywise import (
     DiameterError,
     DistanceMatrix,
@@ -374,6 +375,22 @@ def test_vasudeva_matches_all_pairs_reference():
     assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
+def test_vasudeva_stops_at_the_first_violation(monkeypatch):
+    # log(1 + x) fails midconvexity at the third pair, (1, 1.02^2); every pair of the 1,000 samples would
+    # take 500,500 lookups of its geometric mean and about 3 s
+    calls = []
+    original = entrywise.bisect_left
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(entrywise, "bisect_left", counted)
+    rep = vasudeva_2x2_check([(1.02**k, math.log1p(1.02**k)) for k in range(1000)])
+    assert not rep.mult_midconvex and rep.violation[0] == "mult_midconvex"
+    assert len(calls) <= 3
+
+
 def test_vasudeva_validation():
     with pytest.raises(ValueError):
         vasudeva_2x2_check([(2.0, 1.0), (1.0, 1.0)])
@@ -403,6 +420,9 @@ def test_distances_are_the_readers_read_only_upper_triangle():
                  "matrix must be symmetric within 1e-12 times max(1, its largest |entry|)", id="rows-asymmetric"),
     pytest.param(lambda: DistanceMatrix([[0, 1], [2, 0]]),
                  "matrix must be symmetric within 1e-12 times max(1, its largest |entry|)", id="distances-asymmetric"),
+    pytest.param(lambda: SymMatrix.from_rows([[1, 10**400], [10**400, 1]]),
+                 "row 0 has an integer beyond the float range", id="rows-int-1e400"),
+    pytest.param(lambda: DistanceMatrix([[0, 1], [1]]), "row 1 has 1 entries, row 0 has 2", id="distances-ragged"),
     pytest.param(lambda: DistanceMatrix([[1, 1], [1, 0]]), "diagonal distances must be zero", id="distances-diagonal"),
     pytest.param(lambda: DistanceMatrix([[0, 0.0], [0.0, 0]]), "off-diagonal distances must be positive",
                  id="distances-zero"),
