@@ -120,7 +120,10 @@ def _cmd_bound(args) -> CommandResult:
 def _cmd_check(args) -> CommandResult:
     if args.check_command == "psd":
         mat = entrywise.SymMatrix.from_rows(_load_rows(args.matrix))
-        rep = entrywise.psd_check(mat, args.tol)
+        tol = None if args.tol is None else rat(args.tol)
+        if tol is not None and abs(tol) > sys.float_info.max:
+            raise ValueError(f"--tol {args.tol!r} is beyond the float range")
+        rep = entrywise.psd_check(mat, None if tol is None else float(tol))
         payload = {
             "is_psd": rep.is_psd,
             "min_eigenvalue": rep.min_eigenvalue,
@@ -212,7 +215,6 @@ def _cmd_lattice(args) -> CommandResult:
 def _cmd_schur(args) -> CommandResult:
     rng = random.Random(args.seed)
     cutoff = args.N * (args.N - 1) // 2 + 6
-    checked = 0
     for _ in range(args.trials):
         u = rng.sample(range(-8, 9), args.N)
         v = rng.sample(range(-8, 9), args.N)
@@ -226,8 +228,7 @@ def _cmd_schur(args) -> CommandResult:
                 "u": u, "v": v,
                 "f": [rat_str(c) for c in fc],
             })
-        checked += 1
-    return CommandResult(0, {"agree": True, "N": args.N, "instances": checked, "cutoff": cutoff})
+    return CommandResult(0, {"agree": True, "N": args.N, "instances": args.trials, "cutoff": cutoff})
 
 
 def _cmd_tables(args) -> CommandResult:
@@ -282,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = c.add_subparsers(dest="check_command", required=True)
     cp = csub.add_parser("psd")
     cp.add_argument("matrix", help="matrix JSON file")
-    cp.add_argument("--tol", type=float, default=None)
+    cp.add_argument("--tol", help="'p/q' or a decimal; default 1e-10 times the largest |eigenvalue|")
     cv = csub.add_parser("preserver")
     cv.add_argument("--power", required=True, help="'p/q' or a decimal; a negative p/q as --power=-p/q")
     cv.add_argument("--dim", type=_ranged(2, MAX_PRESERVER_DIM), required=True, help=f"2-{MAX_PRESERVER_DIM}")

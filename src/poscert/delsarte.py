@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil
 from typing import Optional
 
@@ -230,14 +229,13 @@ _FIXTURES = {
 KNOWN_CERTIFICATE_NAMES = tuple(_FIXTURES)
 
 
-@lru_cache(maxsize=None)
 def known_certificate(name: str) -> BoundCertificate:
     """The published kissing-number certificates, by fixture name.
 
     "paper-8": the degree-6 polynomial (320/3)(t+1)(t+1/2)^2 t^2 (t-1/2)
     certifying A(8, pi/3) <= 240, and "paper-24": the degree-10 analogue
     certifying A(24, pi/3) <= 196560 (Levenshtein / Odlyzko--Sloane).
-    Both are re-verified exactly on every fresh construction.
+    Both are re-verified exactly on every call.
     """
     if name not in _FIXTURES:
         raise KeyError(f"unknown certificate fixture: {name!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -157,7 +156,6 @@ def expand_gegenbauer(n: int, coeffs: Sequence[Rational]) -> Poly:
     return Poly([Fraction(x, den) for x in out])
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: j = 2.0 is refused even once j = 2 is cached
 def normalized_moment(n: int, j: int) -> Fraction:
     """j-th moment of (1-t^2)^{(n-3)/2} dt on [-1,1], normalized to m_0 = 1.
 

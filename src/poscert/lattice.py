@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import takewhile
 from operator import mul
 from typing import Optional, Sequence
@@ -149,21 +148,18 @@ def standard_lattice(name: str) -> Lattice:
 # binary codes
 
 class BinaryCode:
-    """Binary linear code spanned by generator rows (words as bitmasks)."""
+    """Binary linear code spanned by generator rows; ``words``, as bitmasks, is built on each read."""
 
     def __init__(self, length: int, generator_rows: Sequence[int]):
-        self.length = length
-        self.generator_rows = tuple(int(r) for r in generator_rows)
-        self._words: Optional[tuple[int, ...]] = None
+        self.length = integer(length, 1, "code length")
+        self.generator_rows = tuple(integer(r, 0, "generator row") for r in generator_rows)
 
     @property
     def words(self) -> tuple[int, ...]:
-        if self._words is None:
-            acc = {0}
-            for row in self.generator_rows:
-                acc |= {w ^ row for w in acc}
-            self._words = tuple(sorted(acc))
-        return self._words
+        acc = {0}
+        for row in self.generator_rows:
+            acc |= {w ^ row for w in acc}
+        return tuple(sorted(acc))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -172,7 +168,6 @@ class BinaryCode:
         return tuple((word >> i) & 1 for i in range(self.length))
 
 
-@lru_cache(maxsize=1)
 def golay_code() -> BinaryCode:
     """The [24, 12, 8] extended binary Golay code, 4096 words.
 
@@ -237,7 +232,6 @@ def _lll(basis: list[list[int]]) -> list[list[int]]:
     return b
 
 
-@lru_cache(maxsize=1)
 def leech_lattice() -> Lattice:
     """The Leech lattice from the Golay code, with integral unimodular Gram.
 
@@ -455,7 +449,7 @@ def table_report(dims: Optional[Sequence[int]] = None) -> dict:
     Mordell's inequality gamma_n <= gamma_{n-1}^{(n-1)/(n-2)} is decided
     exactly across consecutive computed rows.
     """
-    dims = list(dict.fromkeys(dims or _TABLE))  # each lattice is enumerated once, first-seen order
+    dims = list(dict.fromkeys(integer(n, 1, "dimension") for n in dims or _TABLE))  # each lattice once, first-seen order
     unsupported = [n for n in dims if n not in _TABLE]
     if unsupported:
         starts = [n for n in _TABLE if n - 1 not in _TABLE]

@@ -5,6 +5,7 @@ mod 2^64: each case below came out wrong, or was refused, before the reader conv
 """
 
 import importlib
+import json
 from fractions import Fraction as Q
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from poscert.delsarte import lp_bound
 from poscert.entrywise import power_preserver_witness
 from poscert.gegenbauer import gegenbauer, gegenbauer_values, normalized_moment
-from poscert.lattice import Lattice, lattice_invariants, leech_lattice
+from poscert.lattice import BinaryCode, Lattice, lattice_invariants, leech_lattice, table_report
 from poscert.polycore import integer, rat
 from poscert.schurdet import det_series_direct, det_series_formula
 
@@ -92,11 +93,24 @@ def test_schur_sides_agree_on_numpy_integers():
     pytest.param(lambda: power_preserver_witness(3.0, Q(1, 2)), "dimension", id="power_preserver_witness-n"),
     pytest.param(lambda: Lattice("Z1", 1.0, ((1,),)), "rank", id="Lattice-rank"),
     pytest.param(lambda: det_series_direct([1], [1, 2], [1, 2], 1.0), "cutoff", id="det_series_direct-cutoff"),
+    pytest.param(lambda: table_report([8.0]), "dimension", id="table_report-dims"),
+    pytest.param(lambda: BinaryCode(3.0, [1]), "code length", id="BinaryCode-length"),
+    pytest.param(lambda: BinaryCode(3, [1.9]), "generator row", id="BinaryCode-row"),
 ])
 def test_a_float_where_an_integer_is_required_is_refused_by_name(call, what):
-    normalized_moment(3, 2)  # cached first: the float is still read, not looked up
     with pytest.raises(ValueError, match=f"^{what} must be an integer, got "):
         call()
+
+
+def test_table_report_reads_a_numpy_dimension_as_a_python_int():
+    report = table_report([np.int64(2)])
+    assert type(report["rows"][0]["n"]) is int
+    assert json.loads(json.dumps(report)) == table_report([2])
+
+
+def test_binary_code_of_length_0_is_refused():
+    with pytest.raises(ValueError, match=r"^code length must be >= 1, got 0$"):
+        BinaryCode(0, [1])
 
 
 def test_grid_below_degree_plus_2_names_both():
