@@ -153,9 +153,9 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     around the ends and critical points of f (:func:`_root_probes`). Between
     grid points the float solution can exceed 0, so c_0 is lowered by the
     peak of f on [-1, s], taken at the critical points of f (:func:`_peak`),
-    plus a float margin, before an exact check; a rejected check adds 1, 8,
-    64, ... units of 2^-32. The repair only ever weakens the bound. When that
-    slack would reach c_0 = 1, no certificate is returned.
+    plus a float margin, and one exact check decides the bound. The repair
+    only ever weakens it. When that slack would reach c_0 = 1, or the check
+    rejects f, no certificate is returned, with the reason.
     """
     n, s_exact = integer(n, 2, "dimension"), rat(s)
     if not (-1 <= s_exact < 1):
@@ -206,16 +206,14 @@ def lp_bound(n: int, s, d: int, grid: int = 2000) -> LpBoundResult:
     # plus 1e-12 sum(c) of float error, and 0 when f peaks at or below 0 (the exact optima)
     rounded = np.round(float_coeffs * 2**32) / 2**32
     peak = _peak(n, rounded, s_f)
-    unit = step = Fraction(1, 2**32)
-    slack = 0 if peak <= 0 else ceil((peak + 1e-12 * float(rounded.sum())) * 2**32) * unit
-    poly = expand_gegenbauer(n, [0] + [Fraction(c) for c in rounded[1:]])
-    while slack < 1:
-        try:
-            certificate = verify_certificate(n, s_exact, poly + Poly.constant(1 - slack))
-            return LpBoundResult(float_coeffs, float_bound, certificate, None)
-        except CertificateRejection:
-            slack, step = slack + step, step * 8
+    slack = 0 if peak <= 0 else Fraction(ceil((peak + 1e-12 * float(rounded.sum())) * 2**32), 2**32)
     rejection = f"f exceeds 0 between grid points by {peak:.6g}, so c_0 = 1 cannot absorb it"
+    if slack < 1:
+        poly = expand_gegenbauer(n, [1 - slack] + [Fraction(c) for c in rounded[1:]])
+        try:
+            return LpBoundResult(float_coeffs, float_bound, verify_certificate(n, s_exact, poly), None)
+        except CertificateRejection as exc:
+            rejection = f"c_0 lowered by the float peak fails the exact check: {exc}"
     return LpBoundResult(float_coeffs, float_bound, None, rejection)
 
 

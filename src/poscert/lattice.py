@@ -153,6 +153,8 @@ class BinaryCode:
     def __init__(self, length: int, generator_rows: Sequence[int]):
         self.length = integer(length, 1, "code length")
         self.generator_rows = tuple(integer(r, 0, "generator row") for r in generator_rows)
+        if (top := max(self.generator_rows, default=0)) >> self.length:
+            raise ValueError(f"generator row must be < 2^{self.length}, got {top}")
 
     @property
     def words(self) -> tuple[int, ...]:

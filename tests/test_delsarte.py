@@ -82,6 +82,11 @@ def test_certificate_json_round_trip():
     pytest.param(12, Q(0), 10, 2000, 24, id="dim12-deg10-cos0"),
     pytest.param(4, Q(-1, 4), 6, 2000, 5, id="dim4-deg6-cos-quarter"),
     pytest.param(10, Q(-1, 10), 8, 2000, 11, id="dim10-deg8-cos-tenth"),
+    # from _ROOT_SCAN_GRID on, f is probed around its critical points only
+    pytest.param(12, Q(0), 10, 50000, 24, id="dim12-deg10-cos0-grid50000"),
+    pytest.param(10, Q(-1, 10), 8, 100000, 11, id="dim10-deg8-cos-tenth-grid100000"),
+    pytest.param(24, Q(0), 40, 20000, 48, id="dim24-deg40-cos0-grid20000"),
+    pytest.param(3, Q(-1, 3), 60, 40000, 4, id="dim3-deg60-cos-third-grid40000"),
 ])
 def test_lp_bound_exact_optima(n, s, d, grid, value):
     res = lp_bound(n, s, d, grid=grid)
@@ -130,13 +135,13 @@ def test_lp_bound_peak_between_grid_points_passes_the_first_check(verify_calls, 
 
 
 @pytest.mark.parametrize("n, d, grid", [(24, 10, 50000), (23, 13, 2000), (8, 6, 2000)])
-def test_lp_bound_rejected_checks_escalate_the_slack(monkeypatch, verify_calls, n, d, grid):
-    # with the peak read as 0 the first slack is 0; each rejected check adds 1, 8, 64, ... units
+def test_lp_bound_rejected_check_returns_no_certificate(monkeypatch, verify_calls, n, d, grid):
+    # with the peak read as 0 the slack is 0, and f > 0 between grid points fails the one exact check
     monkeypatch.setattr(delsarte, "_peak", lambda n, c, hi: 0.0)
     res = lp_bound(n, Q(1, 2), d, grid)
-    assert res.certificate is not None, res.rejection
-    assert len(verify_calls) > 1
-    assert float(res.certificate.bound) >= res.float_bound * (1 - 1e-9)
+    assert res.certificate is None
+    assert len(verify_calls) == 1
+    assert "positive somewhere on" in res.rejection
 
 
 def dense_max(n, c, hi):

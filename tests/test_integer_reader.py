@@ -113,6 +113,13 @@ def test_binary_code_of_length_0_is_refused():
         BinaryCode(0, [1])
 
 
+def test_binary_code_refuses_a_generator_row_wider_than_the_code():
+    # 8 = 0b1000 has a bit at index 3, which a length-3 code has no coordinate for
+    with pytest.raises(ValueError, match=r"^generator row must be < 2\^3, got 8$"):
+        BinaryCode(3, [8, 1])
+    assert len(BinaryCode(3, [4, 1])) == 4
+
+
 def test_grid_below_degree_plus_2_names_both():
     with pytest.raises(ValueError, match=r"^grid must be >= 8, got 7$"):
         lp_bound(3, Q(1, 2), 6, 7)
