@@ -282,39 +282,38 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float, dty
 
     Q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j-i-1] x_j)^2, levels running
     from the last coordinate down. The stack holds blocks of up to _BLOCK
-    nodes at one level: their fixed coordinates, remaining budgets and
-    "every fixed coordinate is zero" flags; a block is expanded one level
-    in numpy. While the flag holds the range is clamped to x_i >= 0, so
-    each +-pair is seen exactly once and the zero vector never. Pruning is
-    in floats with _SLACK on the budget and 1e-9 margins on each rounded
-    coordinate range; the caller re-verifies every candidate exactly.
-    Coordinates are held in the signed integer ``dtype``, which the caller
-    proves wide enough for every coordinate the search can reach.
+    nodes at one level, their fixed coordinates and remaining budgets; a
+    block is expanded one level in numpy, the last level into the output.
+    Children ascend from each node's lower end, so the one all-zero node
+    is row 0 of its level's first block, which carries a flag: that row's
+    range starts at 0, so each +-pair is seen once, and the last level
+    drops it, the zero vector. Ranges are rounded in floats with _SLACK on
+    the budget and 1e-9 margins; no child is pruned on its float budget,
+    as the caller checks every candidate exactly. ``dtype`` is a signed
+    integer type the caller proves holds every coordinate the search reaches.
     """
     n = len(d)
-    found = [np.zeros((0, n), dtype=dtype)]
-    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.array([bound + _SLACK]), np.array([True]))]
+    found = []
+    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.array([bound + _SLACK]), True)]
     while stack:
         i, x, budget, zero = stack.pop()
-        if i < 0:
-            found.append(x[~zero])
-            continue
         c = x[:, i + 1:] @ u[i]
         rad = np.sqrt(np.maximum(budget, 0.0) / d[i])
         lo = np.ceil(-rad - c - 1e-9)
-        lo[zero & (lo < 0)] = 0
+        if zero:
+            lo[0] = 0
         hi = np.floor(rad - c + 1e-9)
         count = np.maximum(hi - lo + 1, 0).astype(np.int64)
         parent = np.repeat(np.arange(len(x)), count)
         xi = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
-        t = budget[parent] - d[i] * (xi + c[parent]) ** 2
-        keep = t >= -_SLACK
-        parent, t = parent[keep], t[keep]
         x = x[parent]
-        x[:, i] = xi[keep]
-        zero = zero[parent] & (x[:, i] == 0)
+        x[:, i] = xi
+        if i == 0:
+            found.append(x[1:] if zero else x)
+            continue
+        t = budget[parent] - d[i] * (xi + c[parent]) ** 2
         for s in range(0, len(x), _BLOCK):
-            stack.append((i - 1, x[s:s + _BLOCK], t[s:s + _BLOCK], zero[s:s + _BLOCK]))
+            stack.append((i - 1, x[s:s + _BLOCK], t[s:s + _BLOCK], zero and s == 0))
     return np.concatenate(found)
 
 
@@ -349,12 +348,12 @@ def _short_vectors_with_norms(lat: Lattice, bound_sq) -> tuple[np.ndarray, np.nd
                             "too large for exact float64 norms below 2^53")
 
     cands = _half_space_candidates(dd, uu, float(bound_scaled), np.min_scalar_type(-1 - int(xmax.max())))
-    c = cands.astype(np.float64)
-    coord_max = int(np.abs(c).max(initial=0))  # exactness certificate for the float64 norms below
+    coord_max = max(int(cands.max(initial=0)), -int(cands.min(initial=0)))  # certifies the float64 norms below
     if n * n * coord_max * coord_max * gmax >= 2**53:
         raise OverflowError("candidate coordinates too large for exact float64 norms below 2^53")
     # every partial sum is an integer of magnitude at most n^2 coord_max^2 max|gz| < 2^53
     gz = np.array(lat._gram_int, dtype=np.float64).reshape(n, n)
+    c = cands.astype(np.float64)
     norms = np.einsum("ij,ij->i", c @ gz, c).astype(np.int64)
     keep = (norms > 0) & (norms <= bound_int)
     if keep.all():
@@ -372,12 +371,13 @@ def short_vectors(lat: Lattice, bound_sq) -> np.ndarray:
     2m - 1 - i are negatives of each other.
     """
     half, _ = _short_vectors_with_norms(lat, bound_sq)
-    # in a signed type holding -1 - max|x|, negation cannot overflow; it
-    # reverses the order and 0 is not in the set, so the rows are L and then -L
-    # reversed, L holding each pair's member whose first nonzero entry is < 0
+    # L holds each pair's member whose first nonzero entry is < 0 (in a type holding -1 - max|x|, negation
+    # cannot overflow); negation reverses the order and 0 is not in the set, so the rows are L, then -L reversed
     half *= -np.sign(half[np.arange(len(half)), (half != 0).argmax(1)])[:, None]
-    low = half[np.lexsort(half.T[::-1])]
-    return np.concatenate([low, -low[::-1]]).astype(np.int64)
+    out = np.empty((2 * len(half), lat.rank), dtype=np.int64)
+    out[:len(half)] = half[np.lexsort(half.T[::-1])]
+    np.negative(out[len(half) - 1::-1], out=out[len(half):])
+    return out
 
 
 @dataclass(frozen=True)

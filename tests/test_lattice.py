@@ -454,6 +454,64 @@ def test_short_vector_norms_are_exact():
     assert nonempty >= 40
 
 
+def test_half_set_has_one_row_per_pair_at_exact_shell_norms():
+    # the bound is the largest norm a box-search vector reaches below a random
+    # bound, so the outermost shell's leaves end on a float budget of about 0
+    rng = random.Random(49)
+    shells = 0
+    for n in [1, 2, 3, 4, 5] * 12:
+        gram = skewed_gram(rng, n)
+        bound = Q(rng.randint(1, 30), rng.randint(1, 4))
+        while math.prod(2 * r + 1 for r in box_radii(gram, bound)) > 20_000:
+            bound /= 2
+        want, lam = brute_force_vectors(gram, bound)
+        if lam is None:
+            continue
+        shell = max(sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) for v in want)
+        lat = Lattice("skewed", n, gram)
+        half = [tuple(v) for v in lattice._short_vectors_with_norms(lat, shell)[0].tolist()]
+        assert (0,) * n not in half, (gram, shell)
+        both = set(half) | {tuple(-x for x in v) for v in half}
+        assert len(both) == 2 * len(half) and sorted(both) == want == brute_force_vectors(gram, shell)[0], (gram, shell)
+        assert as_tuples(short_vectors(lat, shell)) == want, (gram, shell)
+        shells += 1
+    assert shells >= 40
+
+
+@pytest.mark.parametrize("make, bound", [
+    pytest.param(lambda: standard_lattice("E8"), 6, id="E8-6"),
+    pytest.param(lambda: standard_lattice("Z5"), 3, id="Z5-3"),
+    pytest.param(lambda: standard_lattice("D4"), 8, id="D4-8"),
+    pytest.param(e8_coordinate_lattice, 4, id="E8-coords-4"),
+])
+def test_short_vectors_do_not_depend_on_the_block_size(monkeypatch, make, bound):
+    # blocks of 3 nodes split every level, so the all-zero node must stay in
+    # the first block of each level for the zero vector to be dropped
+    lat = make()
+    want = short_vectors(lat, bound)
+    monkeypatch.setattr(lattice, "_BLOCK", 3)
+    got = short_vectors(lat, bound)
+    assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("make, bound, half", [
+    pytest.param(lambda: standard_lattice("E8"), 12, 58680, id="E8-12"),
+    pytest.param(leech_lattice, 4, 98280, id="Leech-4"),
+])
+def test_kernel_yields_only_the_kept_candidates(monkeypatch, make, bound, half):
+    # no zero row and no candidate beyond the shells: the exact check keeps every row
+    seen = []
+    kernel = lattice._half_space_candidates
+
+    def record(*args):
+        seen.append(kernel(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lattice, "_half_space_candidates", record)
+    vecs, _ = lattice._short_vectors_with_norms(make(), bound)
+    assert len(seen[0]) == len(vecs) == half
+
+
 def test_short_vectors_are_one_int64_array():
     sv = short_vectors(standard_lattice("E8"), 2)
     assert sv.dtype == np.int64 and sv.shape == (240, 8) and sv.flags.c_contiguous
