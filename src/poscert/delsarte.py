@@ -36,7 +36,7 @@ class CertificateRejection(Exception):
     def __init__(self, kind: str, message: str, witness=None):
         super().__init__(message)
         self.kind = kind
-        self.witness = witness  # for a positivity violation, an interval where f > 0 somewhere
+        self.witness = witness  # for a positivity violation, (x, x) at an exact point x where f(x) > 0
 
 
 class LpInfeasible(Exception):
@@ -74,7 +74,7 @@ def verify_certificate(n: int, s, f: Poly) -> BoundCertificate:
     Raises :class:`CertificateRejection` with a distinct ``kind`` for
     each failure mode: a negative Gegenbauer coefficient (named k),
     nonpositive c_0, or a positivity violation on [-1, s] (with a
-    witness subinterval).
+    witness point, as the interval [x, x]).
     """
     n, s = integer(n, 2, "dimension"), rat(s)
     if not (-1 <= s < 1):

@@ -8,8 +8,9 @@ code through the standard mod-2 / mod-4 congruence conditions. Short
 vectors are enumerated under a quadratic-form bound (Fincke--Pohst
 style), one level at a time over numpy blocks of search-tree nodes: one
 fraction-free elimination per lattice gives the exact quadratic completion,
-a float copy with conservative slack drives the pruning, and every candidate is
-re-verified in integer-valued float64 products below 2^53, so the set is exact.
+float ranges, widened by slack, prune no node on its float budget, and every
+candidate is re-verified in integer-valued float64 products below 2^53, so the
+set is exact.
 
 The Golay code is the extended quadratic-residue code of length 23; its
 correctness is established by the 4096-word, minimum-weight-8
@@ -274,7 +275,7 @@ def leech_lattice() -> Lattice:
 
 # Most nodes one block of the enumeration stack holds.
 _BLOCK = 1 << 15
-_SLACK = 1e-6  # float slack on every pruning budget
+_SLACK = 1e-6  # float slack on the search budget: it only widens the rounded ranges
 
 
 def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float, dtype) -> np.ndarray:
@@ -303,7 +304,8 @@ def _half_space_candidates(d: np.ndarray, u: list[np.ndarray], bound: float, dty
         if zero:
             lo[0] = 0
         hi = np.floor(rad - c + 1e-9)
-        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        # no clip: fl(-rad - c) <= fl(rad - c) gives lo <= hi + 1, the flagged row has hi >= 0; np.repeat raises on < 0
+        count = (hi - lo + 1).astype(np.int64)
         parent = np.repeat(np.arange(len(x)), count)
         xi = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
         x = x[parent]

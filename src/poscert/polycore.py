@@ -4,11 +4,12 @@ No floating point enters any code path. :class:`Poly` holds ``Fraction``
 coefficients; certification runs on Python ints, with ``Fraction`` only
 at its edges (interval ends, bisection midpoints, witnesses). The central
 export :func:`certify_nonpositive` decides exactly whether a polynomial
-is <= 0 on a closed rational interval: p is made primitive once, one
-primitive remainder sequence (:func:`sturm_chain`) yields the squarefree
-part and its Sturm chain, ``_pseudo_divmod`` is the one division and
-``_sign`` the one sign test. All values are immutable and all functions
-are pure, so they are safe to share across threads.
+is <= 0 on a closed rational interval: p is cleared to primitive integers
+once, one primitive remainder sequence (:func:`sturm_chain`) yields the
+squarefree part and its Sturm chain, ``_pseudo_divmod`` is the one
+division, ``_horner`` the one evaluation, and the bisection stack carries
+each end's Sturm record. All values are immutable and all functions are
+pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -154,12 +155,9 @@ class Poly:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact Horner evaluation."""
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x = a/b: :func:`_horner` on the cleared coefficients, over d b^deg."""
+        x, (cs, d) = rat(x), clear_denominators(self.coeffs)
+        return Fraction(_horner(cs, x), d * x.denominator ** (len(cs) - 1)) if cs else Fraction(0)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -226,9 +224,8 @@ class Interval:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
 
-def _primitive(cs: Sequence[Union[Fraction, int]]) -> tuple[int, ...]:
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
     """The primitive integer polynomial that is a positive multiple of cs."""
-    cs = clear_denominators(cs)[0]
     g = gcd(*cs)
     return tuple(c // g for c in cs)
 
@@ -253,28 +250,33 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
     return q, r
 
 
-def _sign(cs: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial cs at x = a/b, from sum c_i a^i b^(d-i)."""
+def _horner(cs: Sequence[int], x: Fraction) -> int:
+    """sum c_i a^i b^(d-i) at x = a/b, d = len(cs) - 1: b^d times the integer polynomial cs at x."""
     a, b = x.numerator, x.denominator
     acc, bk = 0, 1
     for c in reversed(cs):
         acc = acc * a + c * bk
         bk *= b
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
-    """Sturm chain of the squarefree part of p, from one remainder sequence.
+def _sign(cs: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial cs at x: that of :func:`_horner`, as b^d > 0."""
+    return ((acc := _horner(cs, x)) > 0) - (acc < 0)
+
+
+def sturm_chain(cs: Sequence[int]) -> list[tuple[int, ...]]:
+    """Sturm chain of the squarefree part of the integer polynomial cs, from one remainder sequence.
 
     The signed remainder sequence p, p', -rem(p, p'), ... ends in
     g = gcd(p, p'). When g is not constant, every member is divided by g
     (taken with a positive leading coefficient), which leaves a Sturm
     chain of p / g: it counts the distinct real roots of p, and it is safe
-    to evaluate at a multiple root of p. Each member is the primitive
-    integer positive multiple of its rational counterpart: same signs.
+    to evaluate at a multiple root of p. Every member after p is the
+    primitive integer positive multiple of its rational counterpart: same signs.
     """
-    chain = [_primitive(p.coeffs)]
-    nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
+    chain = [tuple(cs)]
+    nxt = _primitive([i * c for i, c in enumerate(cs)][1:])
     while nxt:
         chain.append(nxt)
         nxt = _primitive([-c for c in _pseudo_divmod(chain[-2], nxt)[1]])
@@ -285,31 +287,23 @@ def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
     return chain
 
 
-def count_roots_open(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction, memo: dict) -> int:
-    """Distinct roots of the chain's squarefree head in (a, b); a, b may be roots.
-
-    ``memo`` keeps the sign changes and head sign of every point evaluated.
-    """
-    for x in {a, b}.difference(memo):
-        signs = [_sign(q, x) for q in chain]
-        nonzero = [s for s in signs if s]
-        memo[x] = sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t), signs[0]
-    return memo[a][0] - memo[b][0] - (memo[b][1] == 0)
+def _sturm_record(chain: Sequence[Sequence[int]], x: Fraction) -> tuple[int, int]:
+    """(V, h): the chain's sign changes and its head's sign at x. The head has V(a) - V(b) - (h(b) == 0)
+    distinct roots in (a, b), also when a or b is one."""
+    signs = [_sign(q, x) for q in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
 
 
-def nonpositivity_witness(
-    p: Poly, iv: Interval
-) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Decide p <= 0 on [iv.lo, iv.hi] exactly; on failure report a witness.
+def nonpositivity_witness(p: Poly, iv: Interval) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
+    """Decide p <= 0 on [iv.lo, iv.hi] exactly; on failure the witness is (x, x), x in it and p(x) > 0.
 
-    The witness is a subinterval of the domain containing a point where
-    p > 0 (possibly degenerate). Endpoint signs plus Sturm root counting
-    of the squarefree part drive a bisection that terminates because
-    distinct roots separate after finitely many halvings.
+    Endpoint signs plus Sturm root counting of the squarefree part drive a bisection
+    that terminates because distinct roots separate after finitely many halvings.
     """
     if p.is_zero:
         return True, None
-    ip = _primitive(p.coeffs)
+    ip = _primitive(clear_denominators(p.coeffs)[0])
     lo, hi = iv.lo, iv.hi
     plo = _sign(ip, lo)
     if plo > 0:
@@ -319,25 +313,27 @@ def nonpositivity_witness(
     phi = _sign(ip, hi)
     if phi > 0:
         return False, (hi, hi)
-    chain, memo = sturm_chain(p), {}
+    chain = sturm_chain(ip)
     # Depth-first bisection, left half first, over an explicit stack so
-    # that roots closer than 2^-1000 do not exhaust Python's frame limit.
-    stack = [(lo, hi, plo, phi, 0)]
+    # that roots closer than 2^-1000 do not exhaust Python's frame limit;
+    # an entry carries p's sign and the Sturm record at each end.
+    stack = [(lo, hi, plo, phi, _sturm_record(chain, lo), _sturm_record(chain, hi), 0)]
     while stack:
-        a, b, pa, pb, depth = stack.pop()
+        a, b, pa, pb, ra, rb, depth = stack.pop()
         if depth > _MAX_BISECTION_DEPTH:  # pragma: no cover - safety net
             raise RuntimeError("sign certification did not converge")
-        k = count_roots_open(chain, a, b, memo)
+        k = ra[0] - rb[0] - (rb[1] == 0)
         m = (a + b) / 2
         pm = _sign(ip, m)
         if pm > 0:
-            return False, (a, b)
+            return False, (m, m)
         # No interior root: p < 0 on (a, b). One root, with p < 0 at both
         # ends: a touch point, so p <= 0 on [a, b] and pm was <= 0 too.
         if k == 0 or (k == 1 and pa < 0 and pb < 0):
             continue
-        stack.append((m, b, pm, pb, depth + 1))
-        stack.append((a, m, pa, pm, depth + 1))
+        rm = _sturm_record(chain, m)
+        stack.append((m, b, pm, pb, rm, rb, depth + 1))
+        stack.append((a, m, pa, pm, ra, rm, depth + 1))
     return True, None
 
 

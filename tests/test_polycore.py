@@ -15,12 +15,14 @@ from poscert.polycore import (
     Interval,
     Poly,
     certify_nonpositive,
-    count_roots_open,
+    clear_denominators,
     det_exact,
     nonpositivity_witness,
     rat,
     rat_str,
     sturm_chain,
+    _primitive,
+    _sturm_record,
 )
 
 
@@ -30,6 +32,11 @@ def rand_rat(rng, span=50):
 
 def rand_poly(rng, max_deg=6, span=9):
     return Poly([rand_rat(rng, span) for _ in range(rng.randint(0, max_deg + 1))])
+
+
+def primitive(p):
+    # the integer polynomial nonpositivity_witness hands to sturm_chain
+    return _primitive(clear_denominators(p.coeffs)[0])
 
 
 def test_rational_serialization():
@@ -151,6 +158,12 @@ def test_poly_eval_examples():
     assert f.coeffs[-1] == Q(320, 3)
     assert f(Q(1, 2)) == 0
     assert f(1) == 240
+    # the integer Horner over cleared denominators against the power sum, the zero polynomial included
+    assert Poly()(Q(2, 3)) == 0 and Poly([Q(5, 7)])("1/3") == Q(5, 7)
+    rng = random.Random(2)
+    for _ in range(200):
+        p, x = rand_poly(rng, max_deg=9), rand_rat(rng, 40)
+        assert p(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
 
 
 def test_poly_pow_and_divmod():
@@ -234,7 +247,7 @@ def test_det_exact_rejects_non_square(mat, shape):
 def test_squarefree_part():
     t = Poly([0, 1])
     p = (t - Poly.constant(1)) ** 3 * (t + Poly.constant(2))
-    s = Poly(sturm_chain(p)[0])
+    s = Poly(sturm_chain(primitive(p))[0])
     assert s.degree == 2
     assert s(1) == 0 and s(-2) == 0
 
@@ -250,7 +263,7 @@ def test_squarefree_part_and_root_counts_randomized():
         p = Poly.constant(rand_rat(rng, 9) or 1)
         for r in roots:
             p = p * (t - Poly.constant(r)) ** rng.randint(1, 3)
-        chain = sturm_chain(p)
+        chain = sturm_chain(primitive(p))
         s = Poly(chain[0])
         assert s.degree == len(roots)
         ds = Poly([i * c for i, c in enumerate(s.coeffs)][1:])
@@ -258,7 +271,8 @@ def test_squarefree_part_and_root_counts_randomized():
         marks = roots + [Q(rng.randint(-30, 30), 7) for _ in range(4)]
         for _ in range(10):
             a, b = sorted(rng.sample(marks, 2))
-            assert count_roots_open(chain, a, b, {}) == sum(1 for r in roots if a < r < b)
+            (va, _), (vb, hb) = _sturm_record(chain, a), _sturm_record(chain, b)
+            assert va - vb - (hb == 0) == sum(1 for r in roots if a < r < b)
 
 
 def test_sturm_chain_matches_fraction_remainder_sequence():
@@ -274,7 +288,7 @@ def test_sturm_chain_matches_fraction_remainder_sequence():
             p = p * (t - Poly.constant(rand_rat(rng, 20))) ** rng.randint(1, 4)
         if rng.random() < 0.4:
             p = p * (t * t + Poly.constant(rng.randint(1, 9))) ** rng.randint(1, 2)
-        chain, oracle = sturm_chain(p), sturm_sequence_by_fractions(p)
+        chain, oracle = sturm_chain(primitive(p)), sturm_sequence_by_fractions(p)
         assert len(chain) == len(oracle), p
         for member, exact in zip(chain, oracle):
             assert len(member) == len(exact) and member[-1] * exact[-1] > 0, p
@@ -311,7 +325,7 @@ def test_witness_matches_root_oracle():
         else:
             witnessed += 1
             a, b = witness
-            assert lo <= a <= b <= hi and positive_points(p, roots, a, b), (p, lo, hi, witness)
+            assert a == b and lo <= a <= hi and p(a) > 0, (p, lo, hi, witness)
     assert certified > 50 and witnessed > 50
 
 
@@ -342,7 +356,7 @@ def test_bisection_evaluates_each_chain_member_once_per_point(monkeypatch):
     from poscert.delsarte import known_certificate
 
     f = known_certificate("paper-24").poly
-    members = set(sturm_chain(f))
+    members = set(sturm_chain(primitive(f)))
     calls = []
     sign = polycore._sign
     monkeypatch.setattr(polycore, "_sign", lambda cs, x: calls.append((tuple(cs), x)) or sign(cs, x))
@@ -350,6 +364,24 @@ def test_bisection_evaluates_each_chain_member_once_per_point(monkeypatch):
     pairs = [c for c in calls if c[0] in members]
     assert len({x for _, x in pairs}) > 2
     assert len(pairs) == len(set(pairs))
+
+
+def test_witness_clears_denominators_once(monkeypatch):
+    # p is cleared to primitive integers once; the chain and every sign
+    # after it run on those integers and their remainders
+    from poscert import polycore
+    from poscert.delsarte import known_certificate
+
+    t = Poly([0, 1])
+    touching = known_certificate("paper-24").poly
+    positive_inside = -((t - Poly.constant(Q(1, 4))) * (t - Poly.constant(Q(1, 3))))
+    calls = []
+    clear = polycore.clear_denominators
+    monkeypatch.setattr(polycore, "clear_denominators", lambda xs: calls.append(xs) or clear(xs))
+    for f, ok in ((touching, True), (positive_inside, False)):
+        calls.clear()
+        assert nonpositivity_witness(f, Interval(Q(-1), Q(1, 2)))[0] is ok
+        assert calls == [f.coeffs]
 
 
 def test_certify_touching_roots():
@@ -387,7 +419,7 @@ def test_certify_roots_closer_than_python_frame_limit():
     ok, witness = nonpositivity_witness(p, Interval(Q(-1), Q(1)))
     assert not ok
     a, b = witness
-    assert Q(-1) <= a < b <= Q(1) and p((a + b) / 2) > 0
+    assert a == b and Q(1, 3) < a < Q(1, 3) + Q(1, 2**1100) and p(a) > 0
 
 
 def test_certify_soundness_spot_check():
